@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -129,16 +130,6 @@ def resolve_mode(args, cfg) -> str:
     return mode
 
 
-def _scalar_for_mode(value, mode):
-    if value is None:
-        return None
-    z = parse_complex(value)
-    if mode == "float":
-        return z
-    # exact mode accepts values expressible with eighth-root phases
-    raise ConfigError("exact mode supports only the default r/t amplitudes")
-
-
 def _phase_list(value):
     if value is None:
         return None
@@ -193,6 +184,8 @@ def device_spec(args, cfg) -> device.MultiportSpec:
 
 
 def _exact_phase(p: float):
+    if not math.isfinite(p):
+        raise SpecError(f"phase must be finite, got {p!r}")
     k = p / (math.pi / 4.0)
     if abs(k - round(k)) > 1e-12:
         raise ConfigError("exact mode needs phases at multiples of pi/4")
@@ -311,12 +304,12 @@ def cmd_family(args, cfg):
     if args.phi_sweep:
         try:
             start, stop, count = args.phi_sweep.split(":")
-            phis = [
-                float(start) + k * (float(stop) - float(start)) / max(int(count) - 1, 1)
-                for k in range(int(count))
-            ]
+            start, stop, count = float(start), float(stop), int(count)
         except ValueError as err:
             raise ConfigError("--phi-sweep wants start:stop:count") from err
+        if count < 1:
+            raise ConfigError(f"--phi-sweep count must be at least 1, got {count}")
+        phis = [start + k * (stop - start) / max(count - 1, 1) for k in range(count)]
     else:
         phis = [args.phi]
     rows = []
@@ -579,7 +572,9 @@ def cmd_feasibility(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="multiport", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

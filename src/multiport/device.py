@@ -45,6 +45,8 @@ _UNITARY_TOL = 1e-12
 
 def _phase_factor(phase: float, mode: str):
     """Unit-modulus traversal factor for a phase given in radians."""
+    if not math.isfinite(phase):
+        raise SpecError(f"phase must be finite, got {phase!r}")
     if mode == "float":
         return cmath.exp(1j * phase)
     k = phase / (math.pi / 4.0)
@@ -152,15 +154,17 @@ def compile_spec(spec: MultiportSpec) -> CompiledMultiport:
         t = tuple(complex(v) for v in t)
         mirror = tuple(complex(v) for v in mirror)
 
+    # Written so that a NaN or infinite value fails: comparisons with NaN
+    # are false.
     for v in range(spec.n):
         rv, tv, mv = r[v], t[v], mirror[v]
         norm = float(exact.abs_sq(rv) + exact.abs_sq(tv))
         cross = complex(rv * tv.conjugate() + tv * rv.conjugate())
-        if abs(norm - 1.0) > _UNITARY_TOL or abs(cross) > _UNITARY_TOL:
+        if not (abs(norm - 1.0) <= _UNITARY_TOL and abs(cross) <= _UNITARY_TOL):
             raise SpecError(
                 f"beam-splitter block at vertex {port_label(v)} is not unitary"
             )
-        if abs(float(exact.abs_sq(mv)) - 1.0) > _UNITARY_TOL:
+        if not abs(float(exact.abs_sq(mv)) - 1.0) <= _UNITARY_TOL:
             raise SpecError(
                 f"mirror factor at vertex {port_label(v)} is not unit modulus"
             )
@@ -334,28 +338,45 @@ def dense_step_operators(dev: CompiledMultiport):
 
 
 def _steady_state_dense(dev: CompiledMultiport, tol: float) -> SteadyStateResult:
+    """The truncated sum by binary lifting over the segment count s.
+
+    X_s = A^s B is the internal state after s segments.  The sum stops at
+    the first s >= 1 whose largest column norm of X_s is below ``tol``, or
+    at s = max_steps - 1, and is U = C sum_{i<s} A^i B.  A is a
+    contraction, so that norm never rises: jumps of m = 2^j segments,
+    largest first, are taken while the norm after the jump stays at or
+    above ``tol``, then one last single step is taken.  Each level holds
+    P = A^m, G = sum_{i<m} A^i and Q = sum_{i<m} (C A^i)^H (C A^i), so a
+    jump also adds up the probability that exited during it.
+    """
     A, B, C = dense_step_operators(dev)
-    X = B.copy()
-    U = np.zeros((dev.n, dev.n), dtype=complex)
+    span = dev.max_steps - 2  # segments the jumps may cover before the last step
+    levels = [(1, A, np.eye(3 * dev.n, dtype=complex), C.conj().T @ C)]
+    while 2 * levels[-1][0] <= span:
+        m, P, G, Q = levels[-1]
+        levels.append((2 * m, P @ P, G + P @ G, Q + P.conj().T @ Q @ P))
+
+    X = B
+    S = np.zeros_like(B)
     exited = np.zeros(dev.n)
     conservation = 0.0
-    steps_used = dev.max_steps
-    converged = False
-    residual = float(np.sqrt((np.abs(X) ** 2).sum(axis=0)).max())
-    for k in range(2, dev.max_steps + 1):
-        exits = C @ X
-        U += exits
-        exited += (np.abs(exits) ** 2).sum(axis=0)
-        X = A @ X
-        internal = (np.abs(X) ** 2).sum(axis=0)
-        conservation = max(conservation, float(np.abs(internal + exited - 1.0).max()))
+    s = 0
+    trials = [(level, False) for level in reversed(levels)] + [(levels[0], True)]
+    for (m, P, G, Q), last in trials:
+        if not last and s + m > span:
+            continue
+        X_next = P @ X
+        internal = (np.abs(X_next) ** 2).sum(axis=0)
         residual = float(np.sqrt(internal.max()))
-        if residual < tol:
-            steps_used = k
-            converged = True
-            break
+        if not last and residual < tol:
+            continue
+        exited += (X.conj() * (Q @ X)).real.sum(axis=0)
+        S = S + G @ X
+        X = X_next
+        s += m
+        conservation = max(conservation, float(np.abs(internal + exited - 1.0).max()))
     return SteadyStateResult(
-        Matrix.from_numpy(U), residual, steps_used, converged, conservation
+        Matrix.from_numpy(C @ S), residual, s + 1, residual < tol, conservation
     )
 
 
@@ -367,6 +388,12 @@ def steady_state(spec: MultiportSpec, tol: float = 1e-12) -> SteadyStateResult:
     device has not drained below ``tol`` within ``spec.max_steps``
     encounters the result is returned with ``converged=False``; nothing
     is extrapolated.
+
+    Float mode finds the stopping encounter and the same truncated sum
+    by binary lifting, in O(log max_steps) products of 3n x 3n matrices
+    (see ``_steady_state_dense``); conservation is measured at every
+    encounter count the search stops at, the last one included.  Exact
+    mode steps one encounter at a time.
     """
     if not tol > 0:
         raise SpecError("tol must be positive")

@@ -40,6 +40,8 @@ def port_label(index: int) -> str:
 
 
 def port_index(label: str) -> int:
+    if not isinstance(label, str) or len(label) != 1:
+        raise SpecError(f"not a port label: {label!r}")
     idx = ord(label.upper()) - ord("A")
     if idx < 0 or idx > 25:
         raise SpecError(f"not a port label: {label!r}")

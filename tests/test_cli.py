@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from multiport.cli import main, parse_complex
+from multiport.cli import build_parser, main, parse_complex
 from multiport.errors import ConfigError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -200,9 +200,13 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text("{not json")
     assert run_cli(capsys, "exits", "--config", str(bad))[0] == 1
     assert run_cli(capsys, "bogus-command")[0] == 1
+    assert run_cli(capsys, "family", "--phi-sweep", "0:1:0")[0] == 1
     # 2: invalid spec
     assert run_cli(capsys, "exits", "--n", "2")[0] == 2
     assert run_cli(capsys, "exits", "--r", "0.5", "--t", "0.5")[0] == 2
+    assert run_cli(capsys, "unitary", "--r", "nan", "--t", "nan")[0] == 2
+    assert run_cli(capsys, "exits", "--input", "AB")[0] == 2
+    assert run_cli(capsys, "paths", "--exit", "AB", "--length", "4")[0] == 2
     # 3: non-convergence
     assert run_cli(capsys, "unitary", "--max-steps", "8", "--tol", "1e-12")[0] == 3
 
@@ -214,3 +218,20 @@ def test_env_var_sets_default_mode(capsys, monkeypatch):
     assert payload["data"]["rows"][1]["amplitudes"][1]["im"] == {"rational": [1, 2]}
     monkeypatch.setenv("MULTIPORT_NUMERIC_MODE", "bogus")
     assert run_cli(capsys, "exits", "--steps", "2")[0] == 1
+
+
+def test_repeated_calls_share_no_state(capsys):
+    """The parser is built once per process; no call may see another's flags."""
+    sequences = [
+        (("unitary", "--max-steps", "8"), ("unitary",)),
+        (("exits", "--input", "B"), ("exits",)),
+        (("exits", "--mode", "exact", "--steps", "4"), ("paths", "--length", "4")),
+        (("family", "--phi-sweep", "0:1:3"), ("family",)),
+    ]
+    for sequence in sequences:
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert [run_cli(capsys, *argv) for argv in sequence] == fresh
+    assert build_parser() is build_parser()

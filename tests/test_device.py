@@ -73,6 +73,21 @@ def test_compile_rejects_small_and_nonunitary():
         compile_spec(MultiportSpec(n=3, r=1 / math.sqrt(2), t=1 / math.sqrt(2)))
 
 
+def test_compile_rejects_non_finite():
+    nan = float("nan")
+    for kwargs in (
+        dict(r=complex(nan, nan), t=complex(nan, nan)),
+        dict(r=complex(math.inf, 0), t=0j),
+        dict(mirror_factor=complex(nan, 0)),
+        dict(edge_phases=nan),
+        dict(edge_phases=[0.0, math.inf, 0.0]),
+    ):
+        with pytest.raises(SpecError):
+            compile_spec(MultiportSpec(n=3, **kwargs))
+    with pytest.raises(SpecError):
+        compile_spec(exact_spec(n=3, edge_phases=nan))
+
+
 def test_degenerate_splitters_allowed():
     for r, t in ((0j, 1 + 0j), (1j, 0j)):
         res = steady_state(MultiportSpec(n=3, r=r, t=t), tol=1e-12)
@@ -238,6 +253,71 @@ def test_nonconvergence_is_flagged():
     res = steady_state(MultiportSpec(n=3, max_steps=10), tol=1e-12)
     assert not res.converged
     assert res.residual > 1e-12
+
+
+def _steady_state_by_steps(spec, tol):
+    """Reference float steady state: one encounter per iteration."""
+    a, b, c = dense_step_operators(compile_spec(spec))
+    x = b.copy()
+    u = np.zeros((spec.n, spec.n), dtype=complex)
+    exited = np.zeros(spec.n)
+    conservation = 0.0
+    for k in range(2, spec.max_steps + 1):
+        exits = c @ x
+        u += exits
+        exited += (np.abs(exits) ** 2).sum(axis=0)
+        x = a @ x
+        internal = (np.abs(x) ** 2).sum(axis=0)
+        conservation = max(conservation, float(np.abs(internal + exited - 1.0).max()))
+        residual = float(np.sqrt(internal.max()))
+        if residual < tol:
+            return u, residual, k, True, conservation
+    return u, residual, spec.max_steps, False, conservation
+
+
+def _random_float_spec(rng, max_steps):
+    """A random device, identical at every vertex or set per vertex."""
+    n = rng.randint(3, 8)
+    count = rng.choice((1, n))
+    thetas = [rng.uniform(0.05, math.pi / 2 - 0.05) for _ in range(count)]
+    gammas = [rng.uniform(0, 2 * math.pi) for _ in range(count)]
+    mirror = [cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(count)]
+    edge = [rng.uniform(0, 2 * math.pi) for _ in range(count)]
+    r = [1j * cmath.exp(1j * g) * math.sin(th) for th, g in zip(thetas, gammas)]
+    t = [cmath.exp(1j * g) * math.cos(th) for th, g in zip(thetas, gammas)]
+
+    def per_vertex(values):
+        return values if count > 1 else values[0]
+
+    return MultiportSpec(
+        n=n,
+        r=per_vertex(r),
+        t=per_vertex(t),
+        mirror_factor=per_vertex(mirror),
+        edge_phases=per_vertex(edge),
+        max_steps=max_steps,
+    )
+
+
+def test_float_steady_state_matches_step_by_step_sum():
+    rng = random.Random(2024)
+    defaults = [(MultiportSpec(n=n), 1e-12) for n in range(3, 9)]
+    cases = defaults + [(MultiportSpec(n=n, max_steps=9), 1.0) for n in range(3, 9)]
+    cases += [(MultiportSpec(n=3, r=0j, t=1 + 0j, max_steps=9), 1.0)]
+    for max_steps in (2, 3, 4, 5, 8, 9, 100, 1000):
+        for tol in (1e-12, 1e-6, 1e-3, 0.5, 1.0, 2.0):
+            for _ in range(3):
+                cases.append((_random_float_spec(rng, max_steps), tol))
+    for spec, tol in cases:
+        u, residual, steps_used, converged, _ = _steady_state_by_steps(spec, tol)
+        res = steady_state(spec, tol=tol)
+        assert (res.converged, res.steps_used) == (converged, steps_used), spec
+        assert np.abs(res.matrix.to_numpy() - u).max() < 1e-12
+        assert res.residual == pytest.approx(residual, rel=1e-9, abs=1e-14)
+        assert res.conservation_dev < 1e-12
+    # the reference device at the defaults drains too slowly for n = 5, 7, 8
+    unconverged = {spec.n for spec, tol in defaults if not steady_state(spec, tol).converged}
+    assert unconverged == {5, 7, 8}
 
 
 def test_n4_default_unitary_and_dihedral():
