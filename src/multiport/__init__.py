@@ -24,7 +24,6 @@ from .bell import (
 )
 from .device import (
     AmplitudeSeries,
-    DeviceGraph,
     ExitRecord,
     MultiportSpec,
     PathTrace,

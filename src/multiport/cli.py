@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text) -> complex:
-    """Accept 're+imi' (e.g. '0.5+0.5i', '-i', '0.3i') or 'mag@phase'."""
+    """Accept 're+imi' (e.g. '0.5+0.5i', '-i', '0.3i', 'inf') or 'mag@phase'."""
     if isinstance(text, (int, float)):
         return complex(text)
     if isinstance(text, (list, tuple)) and len(text) == 2:
@@ -59,8 +59,10 @@ def parse_complex(text) -> complex:
             return float(mag) * cmath.exp(1j * float(phase))
         except ValueError as err:
             raise ConfigError(f"bad mag@phase value {text!r}") from err
+    if s.endswith("i"):  # the imaginary unit; 'inf' and 'nan' keep theirs
+        s = s[:-1] + "j"
     try:
-        return complex(s.replace("i", "j"))
+        return complex(s)
     except ValueError as err:
         raise ConfigError(f"bad complex value {text!r}") from err
 
@@ -81,7 +83,7 @@ def encode_real(value, mode: str):
                 out[name] = _frac_pair(c)
         if not out:
             out["rational"] = [0, 1]
-        out["approx"] = float(exact.to_complex(value).real) if isinstance(
+        out["approx"] = complex(value).real if isinstance(
             value, exact.ExactComplex
         ) else float(value)
         return out
@@ -164,19 +166,11 @@ def device_spec(args, cfg) -> device.MultiportSpec:
         kwargs["t"] = [parse_complex(v) for v in t] if isinstance(t, list) else parse_complex(t)
     if mirror_phase is not None:
         phases = _phase_list(mirror_phase)
-        if mode == "exact":
-            factor = (
-                [_exact_phase(p) for p in phases]
-                if isinstance(phases, list)
-                else _exact_phase(phases)
-            )
-        else:
-            factor = (
-                [cmath.exp(1j * p) for p in phases]
-                if isinstance(phases, list)
-                else cmath.exp(1j * phases)
-            )
-        kwargs["mirror_factor"] = factor
+        kwargs["mirror_factor"] = (
+            [_mirror_factor(p, mode) for p in phases]
+            if isinstance(phases, list)
+            else _mirror_factor(phases, mode)
+        )
     edge = _phase_list(edge_phase)
     if edge is not None:
         kwargs["edge_phases"] = edge
@@ -190,6 +184,11 @@ def _exact_phase(p: float):
     if abs(k - round(k)) > 1e-12:
         raise ConfigError("exact mode needs phases at multiples of pi/4")
     return exact.eighth_root(round(k))
+
+
+def _mirror_factor(phase, mode):
+    p = float(phase)
+    return _exact_phase(p) if mode == "exact" else cmath.exp(1j * p)
 
 
 # ---------------------------------------------------------------------------
@@ -414,77 +413,98 @@ def cmd_cnot(args, cfg):
     return data, None
 
 
+def _config_coin(coin, dim, mode) -> Matrix:
+    """A named coin ('grover', 'identity') or, in float mode, explicit rows."""
+    if coin == "grover":
+        return device.grover_coin(int(dim), mode)
+    if coin == "identity":
+        return Matrix.identity(int(dim), mode)
+    if mode == "exact":
+        raise ConfigError("exact mode supports named coins only")
+    if not isinstance(coin, list):
+        raise ConfigError(f"coin must be 'grover', 'identity' or a list of rows, got {coin!r}")
+    return Matrix([[parse_complex(x) for x in row] for row in coin], "float")
+
+
+def _vertex_ref(value, what) -> int:
+    """A vertex named in the config: an integer (the graph checks the range)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer vertex index, got {value!r}")
+    return value
+
+
 def _graph_from_config(gcfg, mode) -> network.GraphSpec:
     try:
         vertices = []
         for v in gcfg["vertices"]:
+            if not isinstance(v, dict):
+                raise ConfigError(f"vertex must be an object, got {v!r}")
             if "coin" in v:
-                coin = v["coin"]
-                if coin == "grover":
-                    m = device.grover_coin(int(v["dim"]), mode)
-                elif coin == "identity":
-                    m = Matrix.identity(int(v["dim"]), mode)
-                else:
-                    if mode == "exact":
-                        raise ConfigError("exact mode supports named coins only")
-                    m = Matrix([[parse_complex(x) for x in row] for row in coin], "float")
-                vertices.append(network.IdealVertex(m))
+                vertices.append(network.IdealVertex(_config_coin(v["coin"], v.get("dim"), mode)))
             elif "multiport" in v:
                 d = v["multiport"]
+                if not isinstance(d, dict):
+                    raise ConfigError(f"multiport entry must be an object, got {d!r}")
                 kwargs = {"n": int(d.get("n", 3)), "mode": mode}
                 if "mirror_phase" in d:
-                    p = float(d["mirror_phase"])
-                    kwargs["mirror_factor"] = (
-                        _exact_phase(p) if mode == "exact" else cmath.exp(1j * p)
-                    )
+                    kwargs["mirror_factor"] = _mirror_factor(d["mirror_phase"], mode)
                 if "r" in d or "t" in d:
                     if mode == "exact":
                         raise ConfigError("exact mode supports only default r/t")
                     kwargs["r"] = parse_complex(d["r"])
                     kwargs["t"] = parse_complex(d["t"])
                 if "edge_phase" in d:
-                    kwargs["edge_phases"] = d["edge_phase"]
+                    phase = d["edge_phase"]
+                    kwargs["edge_phases"] = (
+                        [float(p) for p in phase] if isinstance(phase, list) else float(phase)
+                    )
                 vertices.append(network.PhysicalVertex(device.MultiportSpec(**kwargs)))
             else:
                 raise ConfigError("vertex needs a 'coin' or 'multiport' entry")
-        edges = [tuple(e) for e in gcfg.get("edges", [])]
-        leads = list(gcfg.get("leads", []))
+        edges = [
+            (_vertex_ref(u, "edge end"), _vertex_ref(w, "edge end"))
+            for u, w in gcfg.get("edges", [])
+        ]
+        leads = [_vertex_ref(v, "lead") for v in gcfg.get("leads", [])]
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad walk configuration: {err}") from err
     return network.GraphSpec(vertices=vertices, edges=edges, leads=leads, mode=mode)
 
 
 def _schedule_from_config(scfg, graph_mode) -> network.Schedule:
+    if not isinstance(scfg, dict):
+        raise ConfigError("schedule must map steps to per-vertex overrides")
     overrides = {}
-    for step, per_vertex in scfg.items():
-        inner = {}
-        for v, ov in per_vertex.items():
-            if "coin" in ov:
-                coin = ov["coin"]
-                if coin == "grover":
-                    inner[int(v)] = device.grover_coin(int(ov["dim"]), graph_mode)
-                elif coin == "identity":
-                    inner[int(v)] = Matrix.identity(int(ov["dim"]), graph_mode)
-                else:
-                    inner[int(v)] = Matrix(
-                        [[parse_complex(x) for x in row] for row in coin], "float"
-                    )
-            else:
+    try:
+        for step, per_vertex in scfg.items():
+            if not isinstance(per_vertex, dict):
+                raise ConfigError(f"schedule step {step}: overrides must map vertices")
+            inner = {}
+            for v, ov in per_vertex.items():
+                if not isinstance(ov, dict):
+                    raise ConfigError(f"schedule step {step}: override must be an object")
+                if "coin" in ov:
+                    inner[int(v)] = _config_coin(ov["coin"], ov.get("dim"), graph_mode)
+                    continue
                 params = {}
-                if "r" in ov and "t" in ov:
+                if "r" in ov or "t" in ov:
+                    if graph_mode == "exact":
+                        raise ConfigError("exact mode supports only default r/t")
                     params["r"] = parse_complex(ov["r"])
                     params["t"] = parse_complex(ov["t"])
                 if "mirror_phase" in ov:
-                    params["mirror_factor"] = cmath.exp(1j * float(ov["mirror_phase"]))
+                    params["mirror_factor"] = _mirror_factor(ov["mirror_phase"], graph_mode)
                 inner[int(v)] = params
-        overrides[int(step)] = inner
+            overrides[int(step)] = inner
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad walk schedule: {err}") from err
     return network.Schedule(overrides)
 
 
 def cmd_walk(args, cfg):
     mode = resolve_mode(args, cfg)
     gcfg = cfg.get("walk")
-    if gcfg is None:
+    if not isinstance(gcfg, dict):
         raise ConfigError("walk needs a config file with a 'walk' section")
     engine = network.build_network(_graph_from_config(gcfg, mode))
     schedule = None

@@ -118,10 +118,6 @@ class CompiledMultiport:
         return 2 * self.n
 
 
-#: Exposed under the name the rest of the package and the docs use.
-DeviceGraph = CompiledMultiport
-
-
 def compile_spec(spec: MultiportSpec) -> CompiledMultiport:
     """Validate a spec and expand it into per-vertex/per-edge scalars."""
     if spec.mode not in ("exact", "float"):
@@ -153,6 +149,8 @@ def compile_spec(spec: MultiportSpec) -> CompiledMultiport:
         r = tuple(complex(v) for v in r)
         t = tuple(complex(v) for v in t)
         mirror = tuple(complex(v) for v in mirror)
+    elif any(isinstance(v, (float, complex)) for v in r + t + mirror):
+        raise SpecError("exact mode takes exact r, t and mirror_factor values, not floats")
 
     # Written so that a NaN or infinite value fails: comparisons with NaN
     # are false.

@@ -355,10 +355,6 @@ def abs_sq(z):
     return (z.real * z.real + z.imag * z.imag) if isinstance(z, complex) else float(z) ** 2
 
 
-def to_complex(z) -> complex:
-    return complex(z)
-
-
 def scalar_zero(mode: str):
     return ZERO if mode == "exact" else 0j
 

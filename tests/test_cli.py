@@ -1,9 +1,15 @@
 """CLI contract: values, formats, determinism and exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multiport.cli import build_parser, main, parse_complex
 from multiport.errors import ConfigError
@@ -25,13 +31,26 @@ def run_json(capsys, *argv):
     return payload
 
 
+def _walk_code(capsys, tmp_path, walk, mode="float"):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps({"walk": walk}))
+    return run_cli(capsys, "walk", "--config", str(path), "--mode", mode)
+
+
 def test_parse_complex_forms():
     assert parse_complex("0.5+0.5i") == 0.5 + 0.5j
     assert parse_complex("-i") == -1j
     assert parse_complex("1@1.5707963267948966") == pytest.approx(1j)
     assert parse_complex([0.1, -0.2]) == 0.1 - 0.2j
+    assert parse_complex("1+i") == 1 + 1j
+    assert parse_complex("inf") == complex(math.inf, 0)
+    assert parse_complex("-inf") == complex(-math.inf, 0)
+    assert parse_complex("infi") == complex(0, math.inf)
+    assert math.isnan(parse_complex("nan").real)
     with pytest.raises(ConfigError):
         parse_complex("wat")
+    with pytest.raises(ConfigError):
+        parse_complex("1i+2")
 
 
 def test_exits_exact_matches_reference_table(capsys):
@@ -207,6 +226,35 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, "unitary", "--r", "nan", "--t", "nan")[0] == 2
     assert run_cli(capsys, "exits", "--input", "AB")[0] == 2
     assert run_cli(capsys, "paths", "--exit", "AB", "--length", "4")[0] == 2
+    assert run_cli(capsys, "unitary", "--r", "inf", "--t", "0")[0] == 2
+    assert run_cli(capsys, "unitary", "--r=-inf", "--t", "0")[0] == 2
+    assert run_cli(capsys, "unitary", "--r", "nan", "--t", "0")[0] == 2
+    assert run_cli(capsys, "unitary", "--r", "1e400", "--t", "0")[0] == 2
+    triport = {"vertices": [{"multiport": {"n": 3}}], "edges": [], "leads": [0, 0, 0]}
+    grover = {"vertices": [{"coin": "grover", "dim": 3}], "edges": [], "leads": [0, 0, 0]}
+    # 2: an edge, a lead or a schedule override naming a vertex outside the graph
+    assert _walk_code(capsys, tmp_path, {**triport, "edges": [[0, 5]]})[0] == 2
+    assert _walk_code(capsys, tmp_path, {**triport, "edges": [[0, -1]]})[0] == 2
+    assert _walk_code(capsys, tmp_path, {**triport, "leads": [0, 0, 5]})[0] == 2
+    far = {"2": {"7": {"mirror_phase": 0.5}}}
+    assert _walk_code(capsys, tmp_path, {**triport, "schedule": far})[0] == 2
+    # exact-mode schedules honour the numeric mode
+    quarter = {"2": {"0": {"mirror_phase": math.pi / 4}}}
+    assert _walk_code(capsys, tmp_path, {**triport, "schedule": quarter}, "exact")[0] == 0
+    off_grid = {"2": {"0": {"mirror_phase": 0.5}}}
+    assert _walk_code(capsys, tmp_path, {**triport, "schedule": off_grid}, "exact")[0] == 1
+    rt = {"2": {"0": {"r": "0.6i", "t": "0.8"}}}
+    assert _walk_code(capsys, tmp_path, {**triport, "schedule": rt}, "float")[0] == 0
+    assert _walk_code(capsys, tmp_path, {**triport, "schedule": rt}, "exact")[0] == 1
+    custom = {"2": {"0": {"coin": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}}
+    assert _walk_code(capsys, tmp_path, {**grover, "schedule": custom}, "float")[0] == 0
+    assert _walk_code(capsys, tmp_path, {**grover, "schedule": custom}, "exact")[0] == 1
+    named = {"2": {"0": {"coin": "identity", "dim": 3}}}
+    assert _walk_code(capsys, tmp_path, {**grover, "schedule": named}, "exact")[0] == 0
+    # 1: the config names vertices by something other than an integer
+    assert _walk_code(capsys, tmp_path, {**triport, "leads": [0, 0, "0"]})[0] == 1
+    assert _walk_code(capsys, tmp_path, {**triport, "edges": [[0, 1, 2]]})[0] == 1
+    assert _walk_code(capsys, tmp_path, {**triport, "schedule": [1]})[0] == 1
     # 3: non-convergence
     assert run_cli(capsys, "unitary", "--max-steps", "8", "--tol", "1e-12")[0] == 3
 
@@ -235,3 +283,110 @@ def test_repeated_calls_share_no_state(capsys):
             fresh.append(run_cli(capsys, *argv))
         assert [run_cli(capsys, *argv) for argv in sequence] == fresh
     assert build_parser() is build_parser()
+
+
+_JUNK = st.sampled_from([None, 3, -1, 1.5, True, "x", "0", [], {}, [0, 1, 2], [[0]]])
+_FAULTS = (
+    "edge outside", "lead outside", "lead type", "self-loop", "disconnected", "degree",
+    "phase", "r/t", "coin rows", "override outside", "override kind", "junk",
+)
+
+
+@st.composite
+def _walk_configs(draw):
+    """(mode, walk section): a well-formed connected walk with a schedule,
+    or the same with one fault: a vertex outside the graph, a mismatched
+    degree, an off-grid or non-finite phase, r/t or explicit coin rows in
+    exact mode, an override of the wrong kind, junk in one field."""
+    mode = draw(st.sampled_from(["float", "exact"]))
+    fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
+    ideal = draw(st.booleans())
+    count = draw(st.integers(1, 4))
+    edges = [[draw(st.integers(0, v - 1)), v] for v in range(1, count)]
+    degree = [0] * count
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    want = [max(d, 2 if ideal else 3) + draw(st.integers(0, 1)) for d in degree]
+    leads = draw(st.permutations([v for v in range(count) for _ in range(want[v] - degree[v])]))
+
+    def phase():
+        if fault == "phase" and draw(st.booleans()):
+            return draw(st.sampled_from([0.5, math.nan, math.inf, "x", None]))
+        if mode == "exact":
+            return draw(st.integers(-8, 8)) * math.pi / 4
+        return draw(st.floats(-7, 7))
+
+    def params():
+        out = {}
+        if draw(st.booleans()):
+            out["mirror_phase"] = phase()
+        if draw(st.booleans()) and (mode == "float" or fault == "r/t"):
+            out["r"], out["t"] = draw(st.sampled_from([("0.6i", "0.8"), ("i", "0"), ("inf", "0"), ("x", "1")]))
+        return out
+
+    def coin(dim):
+        if draw(st.booleans()) and (mode == "float" or fault == "coin rows"):
+            shift = draw(st.integers(0, dim - 1))
+            rows = [[1 if (i + shift) % dim == j else 0 for j in range(dim)] for i in range(dim)]
+            if fault == "coin rows":
+                rows[0][0] = draw(st.sampled_from(["0.5", "nan", "x", "1@0.3"]))
+            return {"coin": rows}
+        return {"coin": draw(st.sampled_from(["grover", "identity"])), "dim": dim}
+
+    vertices = []
+    for v in range(count):
+        if ideal:
+            vertices.append(coin(want[v]))
+        else:
+            d = {"n": want[v], **params()}
+            if draw(st.booleans()):
+                d["edge_phase"] = phase()
+            vertices.append({"multiport": d})
+    schedule = {}
+    for step in draw(st.lists(st.integers(0, 6), max_size=3)):
+        targets = draw(st.lists(st.integers(0, count - 1), max_size=2))
+        schedule[str(step)] = {
+            str(v): coin(want[v]) if ideal != (fault == "override kind") else params()
+            for v in targets
+        }
+    walk = {"vertices": vertices, "edges": edges, "leads": leads, "schedule": schedule}
+    if fault == "edge outside":
+        edges.append([draw(st.integers(0, count - 1)), draw(st.sampled_from([-1, count, count + 3]))])
+    elif fault == "lead outside":
+        leads.append(draw(st.sampled_from([-1, count])))
+    elif fault == "lead type":
+        leads.append(draw(st.sampled_from(["0", 0.0, None, True])))
+    elif fault == "self-loop":
+        edges.append([0, 0])
+    elif fault == "disconnected":
+        vertices.append(vertices[0])
+        leads.extend([count] * want[0])
+    elif fault == "degree":
+        vertices[draw(st.integers(0, count - 1))] = coin(want[0] + 1) if ideal else {"multiport": {"n": 2}}
+    elif fault == "override outside":
+        schedule["1"] = {str(count + draw(st.integers(0, 2))): coin(2) if ideal else params()}
+    elif fault == "junk":
+        walk[draw(st.sampled_from(["vertices", "edges", "leads", "schedule"]))] = draw(_JUNK)
+    return mode, walk
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    config=st.one_of(_walk_configs(), st.tuples(st.just("float"), _JUNK)),
+    lead=st.integers(-1, 4),
+    steps=st.integers(0, 6),
+)
+def test_walk_config_never_escapes(config, lead, steps):
+    """Generated walk graphs and schedules map to an exit code; nothing
+    escapes as a traceback."""
+    mode, walk = config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "walk.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"walk": walk}, fh)
+        argv = ["walk", "--config", path, "--mode", mode,
+                "--input-lead", str(lead), "--steps", str(steps)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in {0, 1, 2, 3, 4}

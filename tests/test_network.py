@@ -7,12 +7,13 @@ engine's sparse stepping.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from multiport import exact
-from multiport.device import MultiportSpec, exit_record, grover_coin
+from multiport.device import MultiportSpec, compile_spec, exit_record, grover_coin
 from multiport.errors import SpecError
 from multiport.matrices import Matrix
 from multiport.network import (
@@ -306,3 +307,296 @@ def test_coherence_budget_values():
     assert unbounded.unbounded and unbounded.max_steps is None
     with pytest.raises(SpecError):
         coherence_budget(1e-9, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# parity with per-mode stepping
+# ---------------------------------------------------------------------------
+
+
+def _reference_run(g, input_lead, steps, schedule=None):
+    """The walk stepped one mode at a time over dicts, as the engine did
+    before it compiled each walk into a gather table.  Returns, per step,
+    (edge probabilities, lead amplitudes, cumulative lead probabilities,
+    internal probability, conservation deviation)."""
+    mode = g.mode
+    zero = exact.scalar_zero(mode)
+    channels = [[] for _ in g.vertices]
+    for e, (u, v) in enumerate(g.edges):
+        channels[u].append(("edge", e))
+        channels[v].append(("edge", e))
+    for l, v in enumerate(g.leads):
+        channels[v].append(("lead", l))
+    ideal = isinstance(g.vertices[0], IdealVertex)
+
+    def peer(e, v):
+        u, w = g.edges[e]
+        return w if v == u else u
+
+    def params(v, override):
+        vert = g.vertices[v]
+        if ideal:
+            return vert.coin if override is None else override
+        spec = vert.spec
+        if override is not None:
+            spec = MultiportSpec(
+                n=spec.n,
+                r=override.get("r", spec.r),
+                t=override.get("t", spec.t),
+                mirror_factor=override.get("mirror_factor", spec.mirror_factor),
+                edge_phases=override.get("edge_phases", spec.edge_phases),
+                max_steps=spec.max_steps,
+                mode=spec.mode,
+            )
+        return compile_spec(spec)
+
+    def ideal_step(state, inject, overrides):
+        new = {}
+        lead_amps = [zero] * len(g.leads)
+        for v in range(len(g.vertices)):
+            coin = params(v, overrides.get(v))
+            incoming = [
+                state.get(("edge", idx, v), zero) if kind == "edge" else inject.get(idx, zero)
+                for kind, idx in channels[v]
+            ]
+            if all(exact.abs_sq(a) == 0 for a in incoming):
+                continue
+            for (kind, idx), amp in zip(channels[v], coin.apply(incoming)):
+                if kind == "edge":
+                    key = ("edge", idx, peer(idx, v))
+                    new[key] = new[key] + amp if key in new else amp
+                else:
+                    lead_amps[idx] = lead_amps[idx] + amp
+        return new, lead_amps
+
+    def physical_step(state, inject, overrides):
+        new = {}
+        lead_amps = [zero] * len(g.leads)
+        for v in range(len(g.vertices)):
+            dev = params(v, overrides.get(v))
+            n = dev.n
+            for p in range(n):
+                a_s = state.get((v, "cw", (p - 1) % n), zero)
+                a_e = state.get((v, "ccw", (p + 1) % n), zero)
+                a_m = state.get((v, "mir", p), zero)
+                kind, idx = channels[v][p]
+                a_x = state.get(("edge", idx, v), zero) if kind == "edge" else inject.get(idx, zero)
+                rv, tv = dev.r[p], dev.t[p]
+                out_ext = tv * a_e + rv * a_s
+                if kind == "edge":
+                    new[("edge", idx, peer(idx, v))] = out_ext
+                else:
+                    lead_amps[idx] = lead_amps[idx] + out_ext
+                new[(v, "cw", p)] = (tv * a_x + rv * a_m) * dev.edge_factor[p]
+                new[(v, "ccw", p)] = (rv * a_x + tv * a_m) * dev.edge_factor[(p - 1) % n]
+                new[(v, "mir", p)] = (rv * a_e + tv * a_s) * dev.mirror[p]
+        return new, lead_amps
+
+    if isinstance(input_lead, int):
+        injection = {input_lead: exact.scalar_one(mode)}
+    else:
+        injection = dict(input_lead)
+    injected = sum(float(exact.abs_sq(a)) for a in injection.values())
+    state = {}
+    lead_cum = [0.0] * len(g.leads)
+    conservation = 0.0
+    out = []
+    for k in range(1, steps + 1):
+        overrides = schedule.for_step(k) if schedule else {}
+        step = ideal_step if ideal else physical_step
+        state, lead_amps = step(state, injection if k == 1 else {}, overrides)
+        for l, amp in enumerate(lead_amps):
+            lead_cum[l] += float(exact.abs_sq(amp))
+        internal = sum(float(exact.abs_sq(a)) for a in state.values())
+        conservation = max(conservation, abs(internal + sum(lead_cum) - injected))
+        edges = {}
+        for key, amp in state.items():
+            if key[0] == "edge":
+                edges[(key[1], key[2])] = float(exact.abs_sq(amp))
+        out.append((edges, lead_amps, list(lead_cum), internal, conservation))
+    return out
+
+
+def _random_tree(rng, count, extra):
+    edges = [(rng.randrange(v), v) for v in range(1, count)]
+    pairs = [(u, v) for u in range(count) for v in range(u + 1, count)]
+    edges += rng.sample([p for p in pairs if p not in edges], min(extra, len(pairs) - len(edges)))
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def _edge_degrees(count, edges):
+    degree = [0] * count
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return degree
+
+
+def _random_unitary(rng, dim):
+    a = np.array(
+        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)] for _ in range(dim)]
+    )
+    q, r = np.linalg.qr(a)
+    return Matrix.from_numpy(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def _random_splitter(rng):
+    theta, phi = rng.uniform(0.1, 1.4), rng.uniform(0, 2 * math.pi)
+    lead = complex(math.cos(phi), math.sin(phi))
+    return 1j * math.sin(theta) * lead, math.cos(theta) * lead
+
+
+def _random_device(rng, n, mode):
+    if mode == "exact":
+        return MultiportSpec(
+            n=n,
+            mirror_factor=[exact.eighth_root(rng.randrange(8)) for _ in range(n)],
+            edge_phases=[rng.randrange(8) * math.pi / 4 for _ in range(n)],
+            mode="exact",
+        )
+    pairs = [_random_splitter(rng) for _ in range(n)]
+    return MultiportSpec(
+        n=n,
+        r=[r for r, _t in pairs],
+        t=[t for _r, t in pairs],
+        mirror_factor=[np.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)],
+        edge_phases=[rng.uniform(0, 2 * math.pi) for _ in range(n)],
+    )
+
+
+def _random_coin(rng, dim, mode):
+    if mode == "exact":
+        if dim == 1:
+            return Matrix.identity(1, "exact").scaled(exact.eighth_root(rng.randrange(8)))
+        return grover_coin(dim, "exact").scaled(exact.eighth_root(rng.randrange(8)))
+    return _random_unitary(rng, dim)
+
+
+def _random_override(rng, vertex, mode):
+    if isinstance(vertex, IdealVertex):
+        return _random_coin(rng, vertex.coin.dim, mode)
+    if mode == "exact":
+        return {
+            "mirror_factor": exact.eighth_root(rng.randrange(8)),
+            "edge_phases": rng.randrange(8) * math.pi / 4,
+        }
+    r, t = _random_splitter(rng)
+    return {"r": r, "t": t, "mirror_factor": np.exp(1j * rng.uniform(0, 2 * math.pi))}
+
+
+def _random_schedule(rng, vertices, steps, mode):
+    overrides = {}
+    for step in rng.sample(range(1, steps + 1), min(3, steps)):
+        chosen = rng.sample(range(len(vertices)), min(2, len(vertices)))
+        overrides[step] = {v: _random_override(rng, vertices[v], mode) for v in chosen}
+    return Schedule(overrides)
+
+
+def _ring_graph(count, vertex):
+    edges = [(v, (v + 1) % count) for v in range(count)]
+    return [vertex(3) for _ in range(count)], edges, list(range(count))
+
+
+def _grid_graph(width, vertex):
+    edges = []
+    for y in range(width):
+        for x in range(width):
+            v = y * width + x
+            if x + 1 < width:
+                edges.append((v, v + 1))
+            if y + 1 < width:
+                edges.append((v, v + width))
+    degree = _edge_degrees(width * width, edges)
+    leads = [v for v, d in enumerate(degree) for _ in range(4 - d)]
+    return [vertex(4) for _ in range(width * width)], edges, leads
+
+
+def _path_graph(count, vertex):
+    edges = [(v, v + 1) for v in range(count - 1)]
+    leads = [0] + list(range(count)) + [count - 1]
+    degree = [d + leads.count(v) for v, d in enumerate(_edge_degrees(count, edges))]
+    return [vertex(d) for d in degree], edges, leads
+
+
+def _mixed_graph(rng, count, vertex, min_degree):
+    edges = _random_tree(rng, count, rng.randrange(3))
+    degree = _edge_degrees(count, edges)
+    leads = [v for v in range(count) for _ in range(max(min_degree - degree[v], 0) + rng.randrange(3))]
+    rng.shuffle(leads)
+    degree = [d + leads.count(v) for v, d in enumerate(degree)]
+    return [vertex(d) for d in degree], edges, leads
+
+
+def _parity_cases(mode):
+    """(graph, input, steps, schedule) over seeded rings, grids, path graphs,
+    mixed-degree ideal graphs and heterogeneous physical graphs with mixed
+    port counts, each plain and with a schedule."""
+    rng = random.Random(20 if mode == "exact" else 10)
+    small = mode == "exact"
+    shapes = [
+        (_ring_graph, 3 if small else 9),
+        (_grid_graph, 2 if small else 3),
+        (_path_graph, 3 if small else 5),
+    ]
+    cases = []
+    for kind in ("ideal", "physical"):
+        for hetero in (False, True):
+            if kind == "ideal":
+                def vertex(d, hetero=hetero):
+                    if not hetero:
+                        return IdealVertex(grover_coin(d, mode) if d > 1 else Matrix.identity(1, mode))
+                    return IdealVertex(_random_coin(rng, d, mode))
+            else:
+                def vertex(d, hetero=hetero):
+                    if not hetero:
+                        return PhysicalVertex(MultiportSpec(n=d, mode=mode))
+                    return PhysicalVertex(_random_device(rng, d, mode))
+            graphs = [
+                build(size, vertex)
+                for build, size in shapes
+                if kind == "ideal" or build is not _path_graph
+            ]
+            for _ in range(1 if small else 4):
+                graphs.append(_mixed_graph(rng, 3 if small else 6, vertex, 1 if kind == "ideal" else 3))
+            steps = 6 if small else (40 if kind == "ideal" else 30)
+            for vertices, edges, leads in graphs:
+                g = GraphSpec(vertices=vertices, edges=edges, leads=leads, mode=mode)
+                lead = rng.randrange(len(leads))
+                cases.append((g, lead, steps, None))
+                cases.append((g, lead, steps, _random_schedule(rng, vertices, steps, mode)))
+            ring = GraphSpec(*graphs[0], mode=mode)
+            one = exact.INV_SQRT2 if mode == "exact" else 1 / math.sqrt(2)
+            cases.append((ring, {0: one, len(ring.leads) - 1: -one}, steps, None))
+    return cases
+
+
+def test_compiled_walk_matches_per_mode_stepping_float():
+    cases = _parity_cases("float")
+    assert len(cases) > 40
+    for g, lead, steps, schedule in cases:
+        got = build_network(g).run(lead, steps, schedule).steps
+        want = _reference_run(g, lead, steps, schedule)
+        assert len(got) == len(want) == steps
+        for step, (edges, lead_amps, lead_cum, internal, conservation) in zip(got, want):
+            assert set(step.edge_probabilities) == set(edges)
+            for key, p in edges.items():
+                assert abs(step.edge_probabilities[key] - p) < 1e-12
+            assert all(type(a) is complex for a in step.lead_step_amplitudes)
+            for a, b in zip(step.lead_step_amplitudes, lead_amps, strict=True):
+                assert abs(a - b) < 1e-12
+            assert step.lead_cumulative_probability == pytest.approx(lead_cum, abs=1e-12)
+            assert step.internal_probability == pytest.approx(internal, abs=1e-12)
+            assert step.conservation_dev < 1e-12 and conservation < 1e-12
+
+
+def test_compiled_walk_matches_per_mode_stepping_exact():
+    cases = _parity_cases("exact")
+    assert len(cases) > 20
+    for g, lead, steps, schedule in cases:
+        got = build_network(g).run(lead, steps, schedule).steps
+        want = _reference_run(g, lead, steps, schedule)
+        assert len(got) == len(want) == steps
+        for step, (edges, lead_amps, _cum, _internal, _conservation) in zip(got, want):
+            assert set(step.edge_probabilities) == set(edges)
+            assert list(step.lead_step_amplitudes) == lead_amps
+            assert all(isinstance(a, exact.ExactComplex) for a in step.lead_step_amplitudes)
