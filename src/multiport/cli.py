@@ -177,18 +177,8 @@ def device_spec(args, cfg) -> device.MultiportSpec:
     return device.MultiportSpec(**kwargs)
 
 
-def _exact_phase(p: float):
-    if not math.isfinite(p):
-        raise SpecError(f"phase must be finite, got {p!r}")
-    k = p / (math.pi / 4.0)
-    if abs(k - round(k)) > 1e-12:
-        raise ConfigError("exact mode needs phases at multiples of pi/4")
-    return exact.eighth_root(round(k))
-
-
 def _mirror_factor(phase, mode):
-    p = float(phase)
-    return _exact_phase(p) if mode == "exact" else cmath.exp(1j * p)
+    return device._phase_factor(float(phase), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +304,13 @@ def cmd_family(args, cfg):
     rows = []
     for phi in phis:
         m = device.symmetric_unitary(args.phi_a, phi)
+        alpha, beta = device.family_coefficients(phi)
         rows.append(
             {
                 "phi_a": args.phi_a,
                 "phi": phi,
-                "alpha": 1.0 / math.sqrt(1.0 + 8.0 * math.cos(phi) ** 2),
-                "beta": -2.0 * math.cos(phi) / math.sqrt(1.0 + 8.0 * math.cos(phi) ** 2),
+                "alpha": alpha,
+                "beta": beta,
                 "matrix": encode_matrix(m),
                 "unitarity_dev": m.unitarity_dev(),
             }

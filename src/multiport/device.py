@@ -8,6 +8,14 @@ along the through pairs (external <-> edge-E, mirror <-> edge-S);
 reflection r couples external <-> edge-S and mirror <-> edge-E.  Each
 vertex's edge-E meets the next vertex's edge-S, closing the polygon.
 
+``step_rows`` writes this rule down once, as the rows of one step over
+a device's local modes, with the mirror and edge factors folded into the
+weights and the path letters attached.  Everything else reads those rows:
+``dense_step_operators`` fills the one-step matrices from them,
+``exit_record`` and exact ``steady_state`` step a sparse state through
+them, ``enumerate_paths`` searches them, and a physical walk vertex
+(``network``) places them in the walk's state vector.
+
 One step is one segment traversal: an inter-vertex edge, or the full
 mirror round trip (both take the same time).  N counts beam-splitter
 encounters including the entry encounter, so an N-encounter path has
@@ -19,6 +27,8 @@ amplitudes vanish at every odd N.
 from __future__ import annotations
 
 import cmath
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +51,10 @@ _FLOAT_DEFAULT_T = 1.0 / math.sqrt(2.0) + 0j
 _FLOAT_DEFAULT_MIRROR = -1j
 
 _UNITARY_TOL = 1e-12
+
+# The most paths ``enumerate_paths`` lists; their number grows as about
+# 2^(n/2) in the path length n.
+_MAX_PATHS = 1 << 16
 
 
 def _phase_factor(phase: float, mode: str):
@@ -210,70 +224,81 @@ class ExitRecord:
         return self.steps[n - 1].cumulative_probability
 
 
-class _Evolution:
-    """Mutable state of one single-photon run; owned by a single caller."""
+def step_rows(dev: CompiledMultiport) -> list:
+    """The device's one wiring rule, as the rows of one step.
 
-    def __init__(self, dev: CompiledMultiport, input_port: int):
-        if not 0 <= input_port < dev.n:
-            raise SpecError(f"input port {input_port} outside the device")
-        self.dev = dev
-        self.input_port = input_port
-        self.zero = exact.scalar_zero(dev.mode)
-        self.state = {}
-        self.encounter = 0
-        self.cumulative = self.zero if dev.mode == "exact" else 0.0
-        self.conservation_dev = 0.0
+    Each row is ``(output, ((source, weight, symbol), ...))`` over the
+    local modes cw_v = v (leaving vertex v toward v + 1), ccw_v = n + v
+    (toward v - 1), mir_v = 2n + v (back from v's mirror stub) and one
+    slot 3n + p per port, which is port p's input as a source and its
+    exit as an output.  A weight is the r or t of the beam-splitter arm
+    taken, times the edge or mirror factor crossed after it, in the
+    device's scalar type; a symbol is the letters a path records for the
+    row: ("r" or "t", v), then ("M", v) for a row into a mirror mode.
+    """
+    n = dev.n
+    rows = []
+    for v in range(n):
+        r, t, m = dev.r[v], dev.t[v], dev.mirror[v]
+        e_cw, e_ccw = dev.edge_factor[v], dev.edge_factor[(v - 1) % n]
+        a_s, a_e, a_m, a_x = (v - 1) % n, n + (v + 1) % n, 2 * n + v, 3 * n + v
+        r_v, t_v, m_v = ("r", v), ("t", v), ("M", v)
+        rows += [
+            (a_x, ((a_e, t, (t_v,)), (a_s, r, (r_v,)))),
+            (a_m, ((a_e, r * m, (r_v, m_v)), (a_s, t * m, (t_v, m_v)))),
+            (v, ((a_x, t * e_cw, (t_v,)), (a_m, r * e_cw, (r_v,)))),
+            (n + v, ((a_x, r * e_ccw, (r_v,)), (a_m, t * e_ccw, (t_v,)))),
+        ]
+    return rows
 
-    def internal_prob(self):
-        total = self.zero if self.dev.mode == "exact" else 0.0
-        for amp in self.state.values():
-            total = total + exact.abs_sq(amp)
-        return total
 
-    def step(self) -> tuple:
-        """Scatter every beam splitter once, then traverse all segments."""
-        dev = self.dev
-        n = dev.n
-        zero = self.zero
-        self.encounter += 1
-        inject = self.input_port if self.encounter == 1 else None
-        state = self.state
-        new = {}
-        exits = []
-        step_prob = zero if dev.mode == "exact" else 0.0
-        for v in range(n):
-            a_s = state.get(("cw", (v - 1) % n), zero)
-            a_e = state.get(("ccw", (v + 1) % n), zero)
-            a_m = state.get(("mir", v), zero)
-            rv, tv = dev.r[v], dev.t[v]
-            out_ext = tv * a_e + rv * a_s
-            out_mir = rv * a_e + tv * a_s
-            if inject == v:
-                one = exact.scalar_one(dev.mode)
-                out_e = tv * one + rv * a_m
-                out_s = rv * one + tv * a_m
-            else:
-                out_e = rv * a_m
-                out_s = tv * a_m
-            exits.append(out_ext)
-            step_prob = step_prob + exact.abs_sq(out_ext)
-            if not _amp_is_zero(out_e, dev.mode):
-                new[("cw", v)] = out_e * dev.edge_factor[v]
-            if not _amp_is_zero(out_s, dev.mode):
-                new[("ccw", v)] = out_s * dev.edge_factor[(v - 1) % n]
-            if not _amp_is_zero(out_mir, dev.mode):
-                new[("mir", v)] = out_mir * dev.mirror[v]
-        self.state = new
-        self.cumulative = self.cumulative + step_prob
-        total = self.internal_prob() + self.cumulative
-        self.conservation_dev = max(self.conservation_dev, abs(float(total) - 1.0))
-        return tuple(exits), step_prob
+def _successors(rows: list) -> list:
+    """The step rows by source: successors[source] = [(output, weight, symbol), ...]."""
+    successors = [[] for _ in rows]  # one row per output, one output per mode
+    for out, terms in rows:
+        for src, weight, symbol in terms:
+            successors[src].append((out, weight, symbol))
+    return successors
+
+
+def _check_port(dev: CompiledMultiport, port: int, what: str) -> None:
+    if not 0 <= port < dev.n:
+        raise SpecError(f"{what} port {port} outside the device")
 
 
 def _amp_is_zero(amp, mode: str) -> bool:
     if mode == "exact":
         return amp.is_zero()
     return abs(amp) <= 1e-300
+
+
+def _encounters(dev: CompiledMultiport, input_port: int):
+    """Step one photon entering ``input_port`` through the step rows.
+
+    Yields, per encounter N = 1, 2, ..., its ExitStep, the probability
+    still inside the device and the largest conservation deviation so far.
+    The state holds only the modes whose amplitude is not zero.
+    """
+    n = dev.n
+    successors = _successors(step_rows(dev))
+    zero = exact.scalar_zero(dev.mode)
+    real_zero = zero if dev.mode == "exact" else 0.0
+    state = {3 * n + input_port: exact.scalar_one(dev.mode)}
+    cumulative = real_zero
+    conservation = 0.0
+    for k in itertools.count(1):
+        new = {}
+        for src, amp in state.items():
+            for out, weight, _symbol in successors[src]:
+                term = amp * weight
+                new[out] = new[out] + term if out in new else term
+        exits = tuple(new.pop(3 * n + p, zero) for p in range(n))
+        state = {mode: a for mode, a in new.items() if not _amp_is_zero(a, dev.mode)}
+        step_prob = sum((exact.abs_sq(a) for a in exits), real_zero)
+        cumulative = cumulative + step_prob
+        internal = sum((exact.abs_sq(a) for a in state.values()), real_zero)
+        conservation = max(conservation, abs(float(internal + cumulative) - 1.0))
+        yield ExitStep(k, exits, step_prob, cumulative), internal, conservation
 
 
 def exit_record(spec: MultiportSpec, input_port: int, n_max: int) -> ExitRecord:
@@ -283,12 +308,13 @@ def exit_record(spec: MultiportSpec, input_port: int, n_max: int) -> ExitRecord:
     dev = compile_spec(spec)
     if n_max > dev.max_steps:
         raise SpecError(f"n_max {n_max} exceeds max_steps {dev.max_steps}")
-    evo = _Evolution(dev, input_port)
+    _check_port(dev, input_port, "input")
     steps = []
-    for n in range(1, n_max + 1):
-        exits, prob = evo.step()
-        steps.append(ExitStep(n, exits, prob, evo.cumulative))
-    return ExitRecord(input_port, dev.n, dev.mode, steps, evo.conservation_dev)
+    for step, _internal, conservation in itertools.islice(
+        _encounters(dev, input_port), n_max
+    ):
+        steps.append(step)
+    return ExitRecord(input_port, dev.n, dev.mode, steps, conservation)
 
 
 @dataclass
@@ -311,28 +337,12 @@ def dense_step_operators(dev: CompiledMultiport):
     The map x -> (C x, A x) is an isometry, which is what per-step
     conservation asserts.
     """
-    n = dev.n
-    cw = lambda v: v
-    ccw = lambda v: n + v
-    mir = lambda v: 2 * n + v
-    A = np.zeros((3 * n, 3 * n), dtype=complex)
-    B = np.zeros((3 * n, n), dtype=complex)
-    C = np.zeros((n, 3 * n), dtype=complex)
-    for v in range(n):
-        r = complex(dev.r[v])
-        t = complex(dev.t[v])
-        m = complex(dev.mirror[v])
-        e_cw = complex(dev.edge_factor[v])
-        e_ccw = complex(dev.edge_factor[(v - 1) % n])
-        A[cw(v), mir(v)] = r * e_cw
-        A[ccw(v), mir(v)] = t * e_ccw
-        A[mir(v), ccw((v + 1) % n)] = r * m
-        A[mir(v), cw((v - 1) % n)] = t * m
-        C[v, ccw((v + 1) % n)] = t
-        C[v, cw((v - 1) % n)] = r
-        B[cw(v), v] = t * e_cw
-        B[ccw(v), v] = r * e_ccw
-    return A, B, C
+    k = 3 * dev.n
+    step = np.zeros((k + dev.n, k + dev.n), dtype=complex)
+    for out, terms in step_rows(dev):
+        for src, weight, _symbol in terms:
+            step[out, src] = complex(weight)
+    return step[:k, :k], step[:k, k:], step[k:, :k]
 
 
 def _steady_state_dense(dev: CompiledMultiport, tol: float) -> SteadyStateResult:
@@ -404,22 +414,19 @@ def steady_state(spec: MultiportSpec, tol: float = 1e-12) -> SteadyStateResult:
     converged = True
     conservation = 0.0
     for port in range(dev.n):
-        evo = _Evolution(dev, port)
         acc = [exact.scalar_zero(dev.mode)] * dev.n
-        this_residual = None
-        for n in range(1, dev.max_steps + 1):
-            exits, _prob = evo.step()
-            for i in range(dev.n):
-                acc[i] = acc[i] + exits[i]
-            this_residual = math.sqrt(max(float(evo.internal_prob()), 0.0))
-            if this_residual < tol:
-                steps_used = max(steps_used, n)
+        encounters = itertools.islice(_encounters(dev, port), dev.max_steps)
+        for step, internal, port_conservation in encounters:
+            acc = [a + e for a, e in zip(acc, step.amplitudes)]
+            residual = math.sqrt(max(float(internal), 0.0))
+            if residual < tol:
+                steps_used = max(steps_used, step.n)
                 break
         else:
             steps_used = dev.max_steps
             converged = False
-        worst_residual = max(worst_residual, this_residual)
-        conservation = max(conservation, evo.conservation_dev)
+        worst_residual = max(worst_residual, residual)
+        conservation = max(conservation, port_conservation)
         columns.append(acc)
     rows = tuple(
         tuple(columns[j][i] for j in range(dev.n)) for i in range(dev.n)
@@ -456,89 +463,53 @@ def enumerate_paths(
     spec: MultiportSpec, input_port: int, exit_port: int, n: int
 ) -> List[PathTrace]:
     """All paths entering ``input_port`` and exiting ``exit_port`` after
-    exactly ``n`` beam-splitter encounters.
+    exactly ``n`` beam-splitter encounters, sorted by symbol string.
 
     The coherent sum of the returned amplitudes equals the corresponding
     exit-record entry; each path amplitude has magnitude 2^(-n/2) for the
-    reference 50/50 device.
+    reference 50/50 device.  The paths are counted before they are built,
+    and more than ``_MAX_PATHS`` of them is a SpecError.
     """
     dev = compile_spec(spec)
-    if not 0 <= exit_port < dev.n:
-        raise SpecError(f"exit port {exit_port} outside the device")
+    _check_port(dev, input_port, "input")
+    _check_port(dev, exit_port, "exit")
+    if n < 1:
+        raise SpecError(f"a path needs at least 1 encounter, got {n}")
     if n > dev.max_steps:
         raise SpecError(f"n {n} exceeds max_steps {dev.max_steps}")
-    one = exact.scalar_one(dev.mode)
-    paths: List[PathTrace] = []
+    internal = 3 * dev.n
+    start, target = internal + input_port, internal + exit_port
+    rows = step_rows(dev)
+    successors = _successors(rows)
+    # ways[k][mode]: the paths from ``mode`` at encounter k to the exit at
+    # encounter n, counted back along the rows; the search below enters
+    # only modes that have one.
+    sources = dict(rows)
+    ways = [None] * (n + 1)
+    ways[n] = collections.Counter(src for src, _w, _s in sources[target])
+    for k in range(n - 1, 0, -1):
+        ways[k] = collections.Counter()
+        for out, count in ways[k + 1].items():
+            if out < internal:  # slot 3n + p is an input here, not an exit
+                for src, _w, _s in sources[out]:
+                    ways[k][src] += count
+    if ways[1][start] > _MAX_PATHS:
+        raise SpecError(
+            f"{ways[1][start]} paths of {n} encounters from {port_label(input_port)} "
+            f"to {port_label(exit_port)}; at most {_MAX_PATHS} are listed"
+        )
 
-    # Stack entries: (location kind, vertex, encounter index, amplitude,
-    # symbols, mirror count).  Kinds: entering externally, arriving on the
-    # S or E edge arm, or returning from the mirror stub.
-    stack = [("ext", input_port, 1, one, (), 0)]
+    paths: List[PathTrace] = []
+    stack = [(start, 1, exact.scalar_one(dev.mode), ())]
     while stack:
-        kind, v, k, amp, syms, mirrors = stack.pop()
-        if k > n:
-            continue
-        rv, tv = dev.r[v], dev.t[v]
-        if kind == "ext":
-            # entry encounter: out to both edges
-            stack.append(
-                (
-                    "edge_s",
-                    (v + 1) % dev.n,
-                    k + 1,
-                    amp * tv * dev.edge_factor[v],
-                    syms + (("t", v),),
-                    mirrors,
-                )
-            )
-            stack.append(
-                (
-                    "edge_e",
-                    (v - 1) % dev.n,
-                    k + 1,
-                    amp * rv * dev.edge_factor[(v - 1) % dev.n],
-                    syms + (("r", v),),
-                    mirrors,
-                )
-            )
-        elif kind in ("edge_s", "edge_e"):
-            exit_sym, exit_amp = ("r", rv) if kind == "edge_s" else ("t", tv)
-            mir_sym, mir_amp = ("t", tv) if kind == "edge_s" else ("r", rv)
-            if k == n and v == exit_port:
-                paths.append(
-                    PathTrace(syms + ((exit_sym, v),), amp * exit_amp, n, mirrors)
-                )
-            stack.append(
-                (
-                    "mir",
-                    v,
-                    k + 1,
-                    amp * mir_amp * dev.mirror[v],
-                    syms + ((mir_sym, v), ("M", v)),
-                    mirrors + 1,
-                )
-            )
-        else:  # returning from the mirror
-            stack.append(
-                (
-                    "edge_s",
-                    (v + 1) % dev.n,
-                    k + 1,
-                    amp * rv * dev.edge_factor[v],
-                    syms + (("r", v),),
-                    mirrors,
-                )
-            )
-            stack.append(
-                (
-                    "edge_e",
-                    (v - 1) % dev.n,
-                    k + 1,
-                    amp * tv * dev.edge_factor[(v - 1) % dev.n],
-                    syms + (("t", v),),
-                    mirrors,
-                )
-            )
+        mode, k, amp, syms = stack.pop()
+        for out, weight, symbol in successors[mode]:
+            if k == n and out == target:
+                steps = syms + symbol
+                mirrors = sum(letter == "M" for letter, _v in steps)
+                paths.append(PathTrace(steps, amp * weight, n, mirrors))
+            elif k < n and out < internal and ways[k + 1][out]:
+                stack.append((out, k + 1, amp * weight, syms + symbol))
     paths.sort(key=lambda p: p.symbol_string)
     return paths
 
@@ -626,6 +597,14 @@ def _ratio_close(a, b, mode: str, tol: float) -> bool:
     return abs(a - b) <= tol * max(abs(b), 1e-30)
 
 
+def family_coefficients(phi: float) -> Tuple[float, float]:
+    """alpha = 1/sqrt(1 + 8 cos^2 phi) and beta = -2 cos(phi) * alpha of
+    the symmetric family (see ``symmetric_unitary``)."""
+    c = math.cos(phi)
+    alpha = 1.0 / math.sqrt(1.0 + 8.0 * c * c)
+    return alpha, -2.0 * c * alpha
+
+
 def symmetric_unitary(phi_a: float, phi: float, mode: str = "float") -> Matrix:
     """The one-parameter family of symmetric 3x3 transition matrices.
 
@@ -653,9 +632,7 @@ def symmetric_unitary(phi_a: float, phi: float, mode: str = "float") -> Matrix:
             tuple(diag if i == j else off for j in range(3)) for i in range(3)
         )
         return Matrix(rows, "exact")
-    c = math.cos(phi)
-    alpha = 1.0 / math.sqrt(1.0 + 8.0 * c * c)
-    beta = -2.0 * c * alpha
+    alpha, beta = family_coefficients(phi)
     lead = cmath.exp(1j * phi_a)
     diag = lead * alpha
     off = lead * cmath.exp(1j * phi) * beta

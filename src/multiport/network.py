@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import exact
-from .device import MultiportSpec, compile_spec, grover_coin
+from .device import MultiportSpec, compile_spec, grover_coin, step_rows
 from .errors import SpecError
 from .matrices import Matrix
 
@@ -269,8 +269,10 @@ class WalkEngine:
         return self._edge_mode(idx, w if v == u else u)
 
     def _vertex_rows(self, v: int, params):
-        """(output, ((source, weight), ...)) for every output of vertex v:
-        the one wiring rule of the walk."""
+        """(output, ((source, weight), ...)) for every output of vertex v.
+
+        A physical vertex takes its rows from ``device.step_rows``; an
+        ideal vertex's output on channel i is row i of its coin."""
         chans = self.channels[v]
         if self.kind == "ideal":
             sources = [self._incoming(v, chan) for chan in chans]
@@ -278,30 +280,22 @@ class WalkEngine:
                 (self._outgoing(v, chan), tuple(zip(sources, params.rows[i])))
                 for i, chan in enumerate(chans)
             ]
-        n = params.n
-        b = self._intra_base[v]
-
-        def cw(p):
-            return b + p % n
-
-        def ccw(p):
-            return b + n + p % n
-
-        def mir(p):
-            return b + 2 * n + p % n
-
-        rows = []
-        for p, chan in enumerate(chans):
-            r, t, m = params.r[p], params.t[p], params.mirror[p]
-            e_cw, e_ccw = params.edge_factor[p], params.edge_factor[(p - 1) % n]
-            a_s, a_e, a_m, a_x = cw(p - 1), ccw(p + 1), mir(p), self._incoming(v, chan)
-            rows += [
-                (self._outgoing(v, chan), ((a_e, t), (a_s, r))),
-                (mir(p), ((a_e, r * m), (a_s, t * m))),
-                (cw(p), ((a_x, t * e_cw), (a_m, r * e_cw))),
-                (ccw(p), ((a_x, r * e_ccw), (a_m, t * e_ccw))),
-            ]
-        return rows
+        # The vertex's step rows, placed: internal mode i is _intra_base[v] + i
+        # (the layouts agree) and port p's slot is channel p's edge or lead.
+        internal = 3 * params.n
+        base = self._intra_base[v]
+        sources = [self._incoming(v, chan) for chan in chans]
+        outputs = [self._outgoing(v, chan) for chan in chans]
+        return [
+            (
+                base + out if out < internal else outputs[out - internal],
+                tuple(
+                    (base + src if src < internal else sources[src - internal], w)
+                    for src, w, _symbol in terms
+                ),
+            )
+            for out, terms in step_rows(params)
+        ]
 
     def _override_params(self, v: int, override):
         if self.kind == "ideal":

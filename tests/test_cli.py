@@ -230,6 +230,13 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, "unitary", "--r=-inf", "--t", "0")[0] == 2
     assert run_cli(capsys, "unitary", "--r", "nan", "--t", "0")[0] == 2
     assert run_cli(capsys, "unitary", "--r", "1e400", "--t", "0")[0] == 2
+    assert run_cli(capsys, "exits", "--mode", "exact", "--mirror-phase", "0.5")[0] == 2
+    assert run_cli(capsys, "paths", "--input", "Z", "--exit", "A", "--length", "4")[0] == 2
+    assert run_cli(capsys, "paths", "--length", "0")[0] == 2
+    assert run_cli(capsys, "paths", "--length", "-3")[0] == 2
+    # more paths than are listed, counted before any is built
+    too_many = ("paths", "--input", "A", "--exit", "A", "--length", "60", "--max-steps", "200")
+    assert run_cli(capsys, *too_many)[0] == 2
     triport = {"vertices": [{"multiport": {"n": 3}}], "edges": [], "leads": [0, 0, 0]}
     grover = {"vertices": [{"coin": "grover", "dim": 3}], "edges": [], "leads": [0, 0, 0]}
     # 2: an edge, a lead or a schedule override naming a vertex outside the graph
@@ -242,7 +249,7 @@ def test_exit_codes(capsys, tmp_path):
     quarter = {"2": {"0": {"mirror_phase": math.pi / 4}}}
     assert _walk_code(capsys, tmp_path, {**triport, "schedule": quarter}, "exact")[0] == 0
     off_grid = {"2": {"0": {"mirror_phase": 0.5}}}
-    assert _walk_code(capsys, tmp_path, {**triport, "schedule": off_grid}, "exact")[0] == 1
+    assert _walk_code(capsys, tmp_path, {**triport, "schedule": off_grid}, "exact")[0] == 2
     rt = {"2": {"0": {"r": "0.6i", "t": "0.8"}}}
     assert _walk_code(capsys, tmp_path, {**triport, "schedule": rt}, "float")[0] == 0
     assert _walk_code(capsys, tmp_path, {**triport, "schedule": rt}, "exact")[0] == 1

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multiport import exact
+from multiport import device, exact
 from multiport.device import (
     MultiportSpec,
     amplitude_series,
@@ -29,6 +29,7 @@ from multiport.device import (
 )
 from multiport.errors import ConvergenceError, SpecError
 from multiport.matrices import Matrix
+from multiport.states import port_label
 
 F = Fraction
 I_HALF = exact.I * exact.ExactComplex(F(1, 2))
@@ -461,3 +462,254 @@ def test_series_refusal_on_non_geometric():
     )
     with pytest.raises(ConvergenceError):
         amplitude_series(spec, 0, 0, n_max=14)
+
+
+# ---------------------------------------------------------------------------
+# step rows against the hand-written wiring they replaced
+# ---------------------------------------------------------------------------
+
+
+def _amp_is_zero(amp, mode):
+    return amp.is_zero() if mode == "exact" else abs(amp) <= 1e-300
+
+
+class _ReferenceEvolution:
+    """Reference: per-vertex stepping with the wiring written out by hand."""
+
+    def __init__(self, dev, input_port):
+        self.dev = dev
+        self.input_port = input_port
+        self.zero = exact.scalar_zero(dev.mode)
+        self.state = {}
+        self.encounter = 0
+        self.cumulative = self.zero if dev.mode == "exact" else 0.0
+        self.conservation_dev = 0.0
+
+    def internal_prob(self):
+        total = self.zero if self.dev.mode == "exact" else 0.0
+        for amp in self.state.values():
+            total = total + exact.abs_sq(amp)
+        return total
+
+    def step(self):
+        dev = self.dev
+        n = dev.n
+        zero = self.zero
+        self.encounter += 1
+        inject = self.input_port if self.encounter == 1 else None
+        state = self.state
+        new = {}
+        exits = []
+        step_prob = zero if dev.mode == "exact" else 0.0
+        for v in range(n):
+            a_s = state.get(("cw", (v - 1) % n), zero)
+            a_e = state.get(("ccw", (v + 1) % n), zero)
+            a_m = state.get(("mir", v), zero)
+            rv, tv = dev.r[v], dev.t[v]
+            out_ext = tv * a_e + rv * a_s
+            out_mir = rv * a_e + tv * a_s
+            if inject == v:
+                one = exact.scalar_one(dev.mode)
+                out_e = tv * one + rv * a_m
+                out_s = rv * one + tv * a_m
+            else:
+                out_e = rv * a_m
+                out_s = tv * a_m
+            exits.append(out_ext)
+            step_prob = step_prob + exact.abs_sq(out_ext)
+            if not _amp_is_zero(out_e, dev.mode):
+                new[("cw", v)] = out_e * dev.edge_factor[v]
+            if not _amp_is_zero(out_s, dev.mode):
+                new[("ccw", v)] = out_s * dev.edge_factor[(v - 1) % n]
+            if not _amp_is_zero(out_mir, dev.mode):
+                new[("mir", v)] = out_mir * dev.mirror[v]
+        self.state = new
+        self.cumulative = self.cumulative + step_prob
+        total = self.internal_prob() + self.cumulative
+        self.conservation_dev = max(self.conservation_dev, abs(float(total) - 1.0))
+        return tuple(exits), step_prob
+
+
+def _reference_steady_state_exact(dev, tol):
+    columns, worst, steps_used, converged, conservation = [], 0.0, 0, True, 0.0
+    for port in range(dev.n):
+        evo = _ReferenceEvolution(dev, port)
+        acc = [exact.ZERO] * dev.n
+        for n in range(1, dev.max_steps + 1):
+            exits, _prob = evo.step()
+            acc = [a + e for a, e in zip(acc, exits)]
+            residual = math.sqrt(max(float(evo.internal_prob()), 0.0))
+            if residual < tol:
+                steps_used = max(steps_used, n)
+                break
+        else:
+            steps_used = dev.max_steps
+            converged = False
+        worst = max(worst, residual)
+        conservation = max(conservation, evo.conservation_dev)
+        columns.append(acc)
+    rows = tuple(tuple(columns[j][i] for j in range(dev.n)) for i in range(dev.n))
+    return Matrix(rows, "exact"), worst, steps_used, converged, conservation
+
+
+def _reference_paths(dev, input_port, exit_port, n):
+    """Reference: depth-first search over hand-written arrival cases."""
+    paths = []
+    stack = [("ext", input_port, 1, exact.scalar_one(dev.mode), (), 0)]
+    while stack:
+        kind, v, k, amp, syms, mirrors = stack.pop()
+        if k > n:
+            continue
+        rv, tv = dev.r[v], dev.t[v]
+        nxt, prv = (v + 1) % dev.n, (v - 1) % dev.n
+        if kind == "ext":
+            stack.append(("edge_s", nxt, k + 1, amp * tv * dev.edge_factor[v], syms + (("t", v),), mirrors))
+            stack.append(("edge_e", prv, k + 1, amp * rv * dev.edge_factor[prv], syms + (("r", v),), mirrors))
+        elif kind in ("edge_s", "edge_e"):
+            exit_sym, exit_amp = ("r", rv) if kind == "edge_s" else ("t", tv)
+            mir_sym, mir_amp = ("t", tv) if kind == "edge_s" else ("r", rv)
+            if k == n and v == exit_port:
+                paths.append((syms + ((exit_sym, v),), amp * exit_amp, mirrors))
+            stack.append(
+                ("mir", v, k + 1, amp * mir_amp * dev.mirror[v], syms + ((mir_sym, v), ("M", v)), mirrors + 1)
+            )
+        else:
+            stack.append(("edge_s", nxt, k + 1, amp * rv * dev.edge_factor[v], syms + (("r", v),), mirrors))
+            stack.append(("edge_e", prv, k + 1, amp * tv * dev.edge_factor[prv], syms + (("t", v),), mirrors))
+    paths.sort(key=lambda p: "".join(sym for sym, _v in p[0]))
+    return paths
+
+
+def _reference_dense(dev):
+    n = dev.n
+    A = np.zeros((3 * n, 3 * n), dtype=complex)
+    B = np.zeros((3 * n, n), dtype=complex)
+    C = np.zeros((n, 3 * n), dtype=complex)
+    for v in range(n):
+        r, t, m = complex(dev.r[v]), complex(dev.t[v]), complex(dev.mirror[v])
+        e_cw, e_ccw = complex(dev.edge_factor[v]), complex(dev.edge_factor[(v - 1) % n])
+        A[v, 2 * n + v] = r * e_cw
+        A[n + v, 2 * n + v] = t * e_ccw
+        A[2 * n + v, n + (v + 1) % n] = r * m
+        A[2 * n + v, (v - 1) % n] = t * m
+        C[v, n + (v + 1) % n] = t
+        C[v, (v - 1) % n] = r
+        B[v, v] = t * e_cw
+        B[n + v, v] = r * e_ccw
+    return A, B, C
+
+
+_EXACT_SPLITTERS = (
+    (exact.I * exact.INV_SQRT2, exact.INV_SQRT2),
+    (-exact.I * exact.INV_SQRT2, exact.INV_SQRT2),
+    (exact.I * exact.SQRT3 * exact.ExactComplex(F(1, 2)), exact.ExactComplex(F(1, 2))),
+    (exact.I * exact.ExactComplex(F(1, 2)), exact.SQRT3 * exact.ExactComplex(F(1, 2))),
+    (exact.I, exact.ZERO),
+)
+
+
+def _heterogeneous_spec(rng, mode, n, max_steps):
+    """A seeded n-port device with its own r, t and mirror at every
+    vertex and its own phase on every edge (pi/4 grid in exact mode)."""
+    if mode == "exact":
+        r, t = [], []
+        for _ in range(n):
+            rv, tv = rng.choice(_EXACT_SPLITTERS)
+            w = exact.eighth_root(rng.randrange(8))
+            r.append(w * rv)
+            t.append(w * tv)
+        mirror = [exact.eighth_root(rng.randrange(8)) for _ in range(n)]
+        edge = [rng.randrange(8) * math.pi / 4 for _ in range(n)]
+    else:
+        r, t = [], []
+        for _ in range(n):
+            theta = rng.choice((0.0, rng.uniform(0.05, math.pi / 2 - 0.05)))
+            gamma = rng.uniform(0, 2 * math.pi)
+            r.append(1j * cmath.exp(1j * gamma) * math.sin(theta))
+            t.append(cmath.exp(1j * gamma) * math.cos(theta))
+        mirror = [cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)]
+        edge = [rng.uniform(0, 2 * math.pi) for _ in range(n)]
+    return MultiportSpec(
+        n=n, r=r, t=t, mirror_factor=mirror, edge_phases=edge, max_steps=max_steps, mode=mode
+    )
+
+
+def _same(a, b, mode):
+    return a == b if mode == "exact" else abs(complex(a) - complex(b)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_step_rows_match_hand_written_wiring(mode):
+    rng = random.Random(4 if mode == "exact" else 44)
+    n_max, path_lengths = (10, (2, 4, 6, 8)) if mode == "exact" else (40, (2, 4, 6, 8, 10))
+    for n in list(range(3, 9)) * (2 if mode == "exact" else 5):
+        spec = _heterogeneous_spec(rng, mode, n, max_steps=60)
+        dev = compile_spec(spec)
+
+        for got, want in zip(dense_step_operators(dev), _reference_dense(dev)):
+            if mode == "exact":
+                assert np.abs(got - want).max() < 1e-15
+            else:
+                assert np.array_equal(got, want)
+
+        for port in sorted({0, rng.randrange(dev.n)}):
+            rec = exit_record(spec, port, n_max)
+            evo = _ReferenceEvolution(dev, port)
+            for step in rec.steps:
+                exits, prob = evo.step()
+                assert len(step.amplitudes) == len(exits)
+                assert all(_same(a, b, mode) for a, b in zip(step.amplitudes, exits))
+                assert _same(step.step_probability, prob, mode)
+                assert _same(step.cumulative_probability, evo.cumulative, mode)
+                assert type(step.step_probability) is type(prob)
+                assert all(type(a) is type(b) for a, b in zip(step.amplitudes, exits))
+            assert rec.conservation_dev == pytest.approx(evo.conservation_dev, abs=1e-12)
+            if mode == "exact":
+                assert rec.conservation_dev == evo.conservation_dev
+
+        for length in path_lengths:
+            start, stop = rng.randrange(dev.n), rng.randrange(dev.n)
+            got = enumerate_paths(spec, start, stop, length)
+            want = _reference_paths(dev, start, stop, length)
+            assert len(got) == len(want)
+            # a symbol string names one path, so sorting fixes the order
+            assert len({p.symbol_string for p in got}) == len(got)
+            for path, (steps, amp, mirrors) in zip(got, want):
+                assert path.steps == steps
+                assert path.annotated == " ".join(f"{s}@{port_label(v)}" for s, v in steps)
+                assert (path.bs_encounters, path.mirror_count) == (length, mirrors)
+                assert _same(path.amplitude, amp, mode)
+
+
+def test_exact_steady_state_matches_hand_written_stepping():
+    rng = random.Random(8)
+    for n, max_steps, tol in ((3, 24, 1e-3), (4, 6, 0.5), (6, 16, 0.1), (7, 12, 0.3), (8, 10, 0.5)):
+        spec = _heterogeneous_spec(rng, "exact", n, max_steps)
+        matrix, residual, steps_used, converged, conservation = _reference_steady_state_exact(
+            compile_spec(spec), tol
+        )
+        res = steady_state(spec, tol=tol)
+        assert res.matrix == matrix
+        assert (res.steps_used, res.converged) == (steps_used, converged)
+        assert (res.residual, res.conservation_dev) == (residual, conservation)
+
+
+def test_enumerate_paths_checks_its_inputs(monkeypatch):
+    spec = MultiportSpec(n=3)
+    for args in ((-1, 0, 4), (3, 0, 4), (0, -1, 4), (0, 3, 4), (0, 0, 0), (0, 0, -3), (0, 0, 101)):
+        with pytest.raises(SpecError):
+            enumerate_paths(spec, *args)
+    # the paths are counted before any is built: too many are refused at
+    # once, and an odd length (no path exits at odd N) finds none at once
+    long = MultiportSpec(n=3, max_steps=200)
+    with pytest.raises(SpecError, match="paths of 60 encounters"):
+        enumerate_paths(long, 0, 0, 60)
+    assert enumerate_paths(long, 0, 0, 61) == []
+    # the count is exact: the cap admits exactly as many paths as are listed
+    spec = exact_spec(n=5, edge_phases=[0, math.pi / 4, 0, math.pi, 0])
+    listed = len(enumerate_paths(spec, 0, 2, 10))
+    monkeypatch.setattr(device, "_MAX_PATHS", listed)
+    assert len(enumerate_paths(spec, 0, 2, 10)) == listed
+    monkeypatch.setattr(device, "_MAX_PATHS", listed - 1)
+    with pytest.raises(SpecError, match=f"{listed} paths"):
+        enumerate_paths(spec, 0, 2, 10)
