@@ -91,8 +91,12 @@ class HeraldCondition:
     herald_port: int
 
     def __post_init__(self):
-        if self.kind not in ("s", "o"):
-            raise SpecError(f"herald condition must be 's' or 'o', got {self.kind!r}")
+        _check_condition(self.kind)
+
+
+def _check_condition(kind: str) -> None:
+    if kind not in ("s", "o"):
+        raise SpecError(f"herald condition must be 's' or 'o', got {kind!r}")
 
 
 def bell_state(label: BellLabel, n_ports: int = 3, mode: str = "exact") -> MultiPhotonState:
@@ -197,6 +201,71 @@ def _strip_herald(state: MultiPhotonState, herald: int) -> MultiPhotonState:
     return MultiPhotonState(stripped, state.n_ports, state.mode)
 
 
+def _gate_unitary(unitary: Optional[Matrix], mode: Optional[str]) -> Matrix:
+    if unitary is None:
+        return triport_unitary(mode or "exact")
+    if mode is not None and mode != unitary.mode:
+        raise SpecError("mode disagrees with the supplied unitary")
+    return unitary
+
+
+def _gate_ports(input_pair: Tuple[int, int], control_pair: Tuple[int, int]):
+    """(herald port, output pair) of an input/control port-pair geometry."""
+    shared = set(input_pair) & set(control_pair)
+    if len(shared) != 1:
+        raise SpecError("input and control pairs must share exactly one herald port")
+    herald = shared.pop()
+    out_ports = tuple(sorted((set(input_pair) | set(control_pair)) - {herald}))
+    if len(out_ports) != 2:
+        raise SpecError("gate needs two distinct output ports")
+    return herald, out_ports
+
+
+def _herald(
+    sector: MultiPhotonState,
+    product_norm_sq: float,
+    kind: str,
+    herald: int,
+    out_ports: Tuple[int, int],
+) -> GateOutcome:
+    """Apply one herald condition to the herald sector of a product."""
+    mode = sector.mode
+    if kind == "o":
+        comp = project(sector, lambda occ: occ.get((herald, H), 0) == 1 and occ.get((herald, V), 0) == 1)
+        heralded = _strip_herald(comp, herald)
+        functional = heralded
+    else:
+        two_h = project(sector, lambda occ: occ.get((herald, H), 0) == 2)
+        two_v = project(sector, lambda occ: occ.get((herald, V), 0) == 2)
+        comp = two_h + two_v
+        inv = exact.INV_SQRT2 if mode == "exact" else complex(2 ** -0.5)
+        functional = (_strip_herald(two_h, herald) + _strip_herald(two_v, herald)).scaled(inv)
+        heralded = functional
+
+    prob_scalar = comp.norm_sq()
+    probability = float(prob_scalar)
+    label = phase = None
+    if not heralded.is_zero():
+        cls = classify_bell(heralded, out_ports)
+        label, phase = cls.label, cls.phase
+    return GateOutcome(
+        label,
+        phase,
+        probability,
+        prob_scalar if mode == "exact" else None,
+        float(functional.norm_sq()),
+        probability / product_norm_sq if product_norm_sq else 0.0,
+        product_norm_sq,
+        heralded,
+    )
+
+
+def _heralded_product(img_in, img_ctrl, herald, out_ports):
+    """(herald sector, squared norm) of the four-photon product."""
+    four = bosonic_product(img_in, img_ctrl)
+    return _herald_sector(four, herald, out_ports), float(four.norm_sq())
+
+
 def process(
     input_label: BellLabel,
     control_label: BellLabel,
@@ -211,68 +280,16 @@ def process(
     port and one at each output port, then apply the herald condition and
     classify what remains on the output pair.
     """
-    if unitary is None:
-        mode = mode or "exact"
-        unitary = triport_unitary(mode)
-    else:
-        if mode is not None and mode != unitary.mode:
-            raise SpecError("mode disagrees with the supplied unitary")
-        mode = unitary.mode
-
-    shared = set(input_label.pair) & set(control_label.pair)
-    if len(shared) != 1:
-        raise SpecError("input and control pairs must share exactly one herald port")
-    herald = shared.pop()
-    out_ports = tuple(
-        sorted((set(input_label.pair) | set(control_label.pair)) - {herald})
-    )
-    if len(out_ports) != 2:
-        raise SpecError("gate needs two distinct output ports")
+    unitary = _gate_unitary(unitary, mode)
+    herald, out_ports = _gate_ports(input_label.pair, control_label.pair)
     cond = HeraldCondition(condition, herald)
-
-    img_in = apply_port_unitary(unitary, bell_state(input_label, unitary.dim, mode))
-    img_ctrl = apply_port_unitary(unitary, bell_state(control_label, unitary.dim, mode))
-    four = bosonic_product(img_in, img_ctrl)
-    product_norm_sq = float(four.norm_sq())
-    sector = _herald_sector(four, herald, out_ports)
-
-    if cond.kind == "o":
-        comp = project(sector, lambda occ: occ.get((herald, H), 0) == 1 and occ.get((herald, V), 0) == 1)
-        heralded = _strip_herald(comp, herald)
-        functional = heralded
-    else:
-        two_h = project(sector, lambda occ: occ.get((herald, H), 0) == 2)
-        two_v = project(sector, lambda occ: occ.get((herald, V), 0) == 2)
-        comp = two_h + two_v
-        inv = exact.INV_SQRT2 if mode == "exact" else complex(2 ** -0.5)
-        functional = (_strip_herald(two_h, herald) + _strip_herald(two_v, herald)).scaled(inv)
-        heralded = functional
-
-    prob_scalar = comp.norm_sq()
-    probability = float(prob_scalar)
-    outcome_exact = prob_scalar if mode == "exact" else None
-    if heralded.is_zero():
-        return GateOutcome(
-            None,
-            None,
-            probability,
-            outcome_exact,
-            float(functional.norm_sq()),
-            probability / product_norm_sq if product_norm_sq else 0.0,
-            product_norm_sq,
-            heralded,
-        )
-    cls = classify_bell(heralded, out_ports)
-    return GateOutcome(
-        cls.label,
-        cls.phase,
-        probability,
-        outcome_exact,
-        float(functional.norm_sq()),
-        probability / product_norm_sq if product_norm_sq else 0.0,
-        product_norm_sq,
-        heralded,
+    sector, product_norm_sq = _heralded_product(
+        apply_port_unitary(unitary, bell_state(input_label, unitary.dim, unitary.mode)),
+        apply_port_unitary(unitary, bell_state(control_label, unitary.dim, unitary.mode)),
+        herald,
+        out_ports,
     )
+    return _herald(sector, product_norm_sq, cond.kind, herald, out_ports)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +320,46 @@ class TruthTable:
         raise KeyError((input_short, control_short))
 
 
+def _outcomes(
+    in_shorts, ctrl_shorts, conditions, unitary, mode, input_pair, control_pair
+) -> Dict[Tuple[str, str, str], GateOutcome]:
+    """``process`` for every (input, control, condition), keyed that way.
+
+    Each Bell image, and each input x control product with its norm, is
+    built once and read by every condition.
+    """
+    labels_in = [parse_bell_short(short, input_pair) for short in in_shorts]
+    labels_ctrl = [parse_bell_short(short, control_pair) for short in ctrl_shorts]
+    unitary = _gate_unitary(unitary, None if unitary is not None else mode)
+    herald, out_ports = _gate_ports(labels_in[0].pair, labels_ctrl[0].pair)
+
+    def image(label):
+        return apply_port_unitary(unitary, bell_state(label, unitary.dim, unitary.mode))
+
+    imgs_ctrl = [image(label) for label in labels_ctrl]
+    out = {}
+    for in_short, label_in in zip(in_shorts, labels_in):
+        img_in = image(label_in)
+        for ctrl_short, img_ctrl in zip(ctrl_shorts, imgs_ctrl):
+            sector, product_norm_sq = _heralded_product(img_in, img_ctrl, herald, out_ports)
+            for cond in conditions:
+                out[in_short, ctrl_short, cond] = _herald(
+                    sector, product_norm_sq, cond, herald, out_ports
+                )
+    return out
+
+
 def full_truth_table(
     unitary: Optional[Matrix] = None, mode: str = "exact",
     input_pair: Tuple[int, int] = (0, 1), control_pair: Tuple[int, int] = (0, 2),
 ) -> TruthTable:
     """All 16 input x control rows under both herald conditions."""
+    outcomes = _outcomes(_ORDER, _ORDER, ("s", "o"), unitary, mode, input_pair, control_pair)
     rows = []
     for in_short in _ORDER:
         for ctrl_short in _ORDER:
-            label_in = parse_bell_short(in_short, input_pair)
-            label_ctrl = parse_bell_short(ctrl_short, control_pair)
-            out_s = process(label_in, label_ctrl, "s", unitary, None if unitary else mode)
-            out_o = process(label_in, label_ctrl, "o", unitary, None if unitary else mode)
+            out_s = outcomes[in_short, ctrl_short, "s"]
+            out_o = outcomes[in_short, ctrl_short, "o"]
             if out_s.output is None or out_o.output is None:
                 raise InvariantViolation(
                     f"gate output for ({in_short}, {ctrl_short}) is not a Bell state"
@@ -349,16 +394,12 @@ def cnot_table(unitary: Optional[Matrix] = None, mode: str = "exact") -> List[Cn
     (Psi +/-), outputs the even pair (Phi +/-); + encodes bit 0 and -
     encodes bit 1 for both families.
     """
+    psi = ("Psi+", "Psi-")
+    outcomes = _outcomes(psi, psi, ("s",), unitary, mode, (0, 1), (0, 2))
     rows = []
-    for in_short in ("Psi+", "Psi-"):
-        for ctrl_short in ("Psi+", "Psi-"):
-            out = process(
-                parse_bell_short(in_short, (0, 1)),
-                parse_bell_short(ctrl_short, (0, 2)),
-                "s",
-                unitary,
-                None if unitary else mode,
-            )
+    for in_short in psi:
+        for ctrl_short in psi:
+            out = outcomes[in_short, ctrl_short, "s"]
             if out.output is None or out.output.family != "Phi":
                 raise InvariantViolation("CNOT rows must produce Phi-type outputs")
             rows.append(
@@ -406,6 +447,7 @@ def group_table(
 ) -> GroupTable:
     """Family-level multiplication table induced by one herald condition,
     with a report on the axioms it satisfies."""
+    _check_condition(condition)
     table = full_truth_table(unitary, mode)
     products: Dict[Tuple[str, str], str] = {}
     for row in table.rows:

@@ -47,6 +47,9 @@ _MUL = tuple(
 
 _QZERO = (_F0, _F0, _F0, _F0)
 
+# Square-free part of an integer -> its basis index.
+_SQUARE_FREE_SLOT = {1: 0, 2: 1, 3: 2, 6: 3}
+
 
 def _quad(value) -> tuple:
     if isinstance(value, tuple):
@@ -56,12 +59,29 @@ def _quad(value) -> tuple:
     return (Fraction(value), _F0, _F0, _F0)
 
 
+def _add(a, b):
+    # Fraction addition costs two gcds even when one side is zero.
+    if not b:
+        return a
+    if not a:
+        return b
+    return a + b
+
+
 def _qadd(x, y):
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+    return (_add(x[0], y[0]), _add(x[1], y[1]), _add(x[2], y[2]), _add(x[3], y[3]))
+
+
+def _sub(a, b):
+    if not b:
+        return a
+    if not a:
+        return -b
+    return a - b
 
 
 def _qsub(x, y):
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
+    return (_sub(x[0], y[0]), _sub(x[1], y[1]), _sub(x[2], y[2]), _sub(x[3], y[3]))
 
 
 def _qneg(x):
@@ -80,7 +100,7 @@ def _qmul(x, y):
             if not yj:
                 continue
             k, m = row[j]
-            out[k] += xi * yj * m
+            out[k] = _add(out[k], xi * yj * m)
     return tuple(out)
 
 
@@ -115,6 +135,19 @@ class ExactComplex:
         object.__setattr__(self, "_im", _quad(im))
 
     # -- construction helpers -------------------------------------------
+
+    @classmethod
+    def _make(cls, re: tuple, im: tuple = _QZERO) -> "ExactComplex":
+        """Trusted constructor for the kernel's own results.
+
+        ``re`` and ``im`` must already be 4-tuples of Fractions, as every
+        arithmetic result built from two ExactComplex values is; they are
+        stored without re-validation.
+        """
+        z = object.__new__(cls)
+        z._re = re
+        z._im = im
+        return z
 
     @classmethod
     def rational(cls, num, den=1) -> "ExactComplex":
@@ -159,7 +192,7 @@ class ExactComplex:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(_qadd(self._re, o._re), _qadd(self._im, o._im))
+        return ExactComplex._make(_qadd(self._re, o._re), _qadd(self._im, o._im))
 
     __radd__ = __add__
 
@@ -167,7 +200,7 @@ class ExactComplex:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(_qsub(self._re, o._re), _qsub(self._im, o._im))
+        return ExactComplex._make(_qsub(self._re, o._re), _qsub(self._im, o._im))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -176,7 +209,7 @@ class ExactComplex:
         return o - self
 
     def __neg__(self):
-        return ExactComplex(_qneg(self._re), _qneg(self._im))
+        return ExactComplex._make(_qneg(self._re), _qneg(self._im))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -184,14 +217,14 @@ class ExactComplex:
             return NotImplemented
         re = _qsub(_qmul(self._re, o._re), _qmul(self._im, o._im))
         im = _qadd(_qmul(self._re, o._im), _qmul(self._im, o._re))
-        return ExactComplex(re, im)
+        return ExactComplex._make(re, im)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactComplex":
         mod = _qadd(_qmul(self._re, self._re), _qmul(self._im, self._im))
         q = _qinv(mod)
-        return ExactComplex(_qmul(self._re, q), _qmul(_qneg(self._im), q))
+        return ExactComplex._make(_qmul(self._re, q), _qmul(_qneg(self._im), q))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -219,11 +252,11 @@ class ExactComplex:
         return out
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self._re, _qneg(self._im))
+        return ExactComplex._make(self._re, _qneg(self._im))
 
     def abs_sq(self) -> "ExactComplex":
         """|z|^2 as an exact (real) scalar."""
-        return ExactComplex(_qadd(_qmul(self._re, self._re), _qmul(self._im, self._im)))
+        return ExactComplex._make(_qadd(_qmul(self._re, self._re), _qmul(self._im, self._im)))
 
     # -- conversions and comparison ---------------------------------------
 
@@ -324,15 +357,12 @@ def exact_sqrt_int(m: int) -> ExactComplex:
             rest //= k * k
             square *= k
         k += 1
-    if rest == 1:
-        return ExactComplex(square)
-    if rest == 2:
-        return ExactComplex(square) * SQRT2
-    if rest == 3:
-        return ExactComplex(square) * SQRT3
-    if rest == 6:
-        return ExactComplex(square) * SQRT6
-    raise CapacityError(f"sqrt({m}) is outside the exact field")
+    slot = _SQUARE_FREE_SLOT.get(rest)
+    if slot is None:
+        raise CapacityError(f"sqrt({m}) is outside the exact field")
+    re = [_F0, _F0, _F0, _F0]
+    re[slot] = Fraction(square)
+    return ExactComplex._make(tuple(re))
 
 
 def sqrt_int(m: int, mode: str):

@@ -323,6 +323,19 @@ class WalkEngine:
                 W[out, : len(terms)] = [w for _src, w in terms]
         return W
 
+    def _gather_exact(self, W: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``(W * x[S]).sum(axis=1)`` over the nonzero terms only.
+
+        An ExactComplex product is up to 64 Fraction products, and most of
+        a sparse walk state and every padding weight are zero."""
+        S = self._S
+        rows, cols = np.nonzero(W.astype(bool) & x.astype(bool)[S])
+        out = np.full(S.shape[0], exact.ZERO, dtype=object)
+        for r, w, a in zip(rows.tolist(), W[rows, cols].tolist(), x[S[rows, cols]].tolist()):
+            term = w * a
+            out[r] = term if out[r] is exact.ZERO else out[r] + term
+        return out
+
     # -- the run ---------------------------------------------------------
 
     def run(
@@ -359,7 +372,10 @@ class WalkEngine:
         for k in range(1, steps + 1):
             overrides = schedule.for_step(k) if schedule else {}
             W = self._weights_with(overrides) if overrides else self._W
-            out = (W * x[self._S]).sum(axis=1)
+            if self.mode == "exact":
+                out = self._gather_exact(W, x)
+            else:
+                out = (W * x[self._S]).sum(axis=1)
             out_sq = _abs_sq(out)
             probs = out_sq.astype(float, copy=False)
             edge_probs = zip(self._edge_keys, probs[:edge_modes].tolist())

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from multiport import exact
+from multiport import bell, exact
 from multiport.bell import (
     BellLabel,
     bell_state,
@@ -26,7 +26,7 @@ from multiport.bell import (
     parse_bell_short,
     process,
 )
-from multiport.device import triport_unitary
+from multiport.device import symmetric_unitary, triport_unitary
 from multiport.errors import SpecError
 from multiport.matrices import Matrix
 from multiport.states import H, V, bosonic_product, occupation_key
@@ -446,3 +446,158 @@ def test_group_o_condition_is_family_relabeling():
     for a in s_table.elements:
         for b in s_table.elements:
             assert o_table.cell(swap(a), swap(b)) == swap(s_table.cell(a, b))
+
+
+@pytest.mark.parametrize("condition", ["x", "", "S", "so", "os", None])
+def test_group_table_rejects_unknown_condition(condition, monkeypatch):
+    def no_table_work(*_args):
+        raise AssertionError("table work before the condition was checked")
+
+    monkeypatch.setattr("multiport.bell.apply_port_unitary", no_table_work)
+    with pytest.raises(SpecError):
+        group_table(condition)
+
+
+# ---------------------------------------------------------------------------
+# tables against per-row process calls
+# ---------------------------------------------------------------------------
+
+ORDER = ("Psi+", "Psi-", "Phi+", "Phi-")
+
+
+def reference_truth_table(unitary, mode, input_pair, control_pair):
+    """The tables as one pair of ``process`` calls per row."""
+    rows = {}
+    for in_short in ORDER:
+        for ctrl_short in ORDER:
+            label_in = parse_bell_short(in_short, input_pair)
+            label_ctrl = parse_bell_short(ctrl_short, control_pair)
+            rows[in_short, ctrl_short] = tuple(
+                process(label_in, label_ctrl, cond, unitary, None if unitary else mode)
+                for cond in ("s", "o")
+            )
+    return rows
+
+
+def reference_cnot_rows(unitary, mode):
+    rows = []
+    for in_short in ("Psi+", "Psi-"):
+        for ctrl_short in ("Psi+", "Psi-"):
+            out = process(
+                parse_bell_short(in_short, (0, 1)),
+                parse_bell_short(ctrl_short, (0, 2)),
+                "s",
+                unitary,
+                None if unitary else mode,
+            )
+            rows.append((in_short, ctrl_short, out.output.short))
+    return rows
+
+
+def assert_same_outcome(got, want, exact_mode):
+    assert got.output == want.output
+    assert got.probability_exact == want.probability_exact
+    assert set(got.heralded_state.terms) == set(want.heralded_state.terms)
+    if exact_mode:
+        assert got.probability == want.probability
+        assert got.heralded_state.terms == want.heralded_state.terms
+        assert got.functional_norm_sq == want.functional_norm_sq
+        assert got.herald_fraction == want.herald_fraction
+        assert got.product_norm_sq == want.product_norm_sq
+        assert got.global_phase == want.global_phase
+        return
+    for field in ("probability", "functional_norm_sq", "herald_fraction", "product_norm_sq"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
+    for occ, amp in want.heralded_state.terms.items():
+        assert got.heralded_state.terms[occ] == pytest.approx(amp, abs=1e-12)
+    if want.global_phase is None:
+        assert got.global_phase is None
+    else:
+        assert got.global_phase == pytest.approx(want.global_phase, abs=1e-12)
+
+
+TABLE_CASES = [
+    (None, "exact", (0, 1), (0, 2)),
+    (None, "float", (0, 1), (0, 2)),
+    (None, "exact", (0, 1), (1, 2)),
+    (None, "float", (2, 1), (2, 0)),
+    ("sym-exact", None, (0, 1), (0, 2)),
+    ("sym-exact", None, (0, 1), (1, 2)),
+    ("sym-float", None, (0, 1), (0, 2)),
+    ("sym-float", None, (0, 2), (1, 2)),
+]
+
+
+def _case_unitary(name):
+    if name == "sym-exact":
+        return symmetric_unitary(3 * math.pi / 4, 0.0, "exact")
+    if name == "sym-float":
+        return symmetric_unitary(0.3, 1.1, "float")
+    return None
+
+
+@pytest.mark.parametrize("unitary_name,mode,input_pair,control_pair", TABLE_CASES)
+def test_tables_match_per_row_process(unitary_name, mode, input_pair, control_pair):
+    unitary = _case_unitary(unitary_name)
+    exact_mode = (unitary.mode if unitary is not None else mode) == "exact"
+    reference = reference_truth_table(unitary, mode, input_pair, control_pair)
+
+    outcomes = bell._outcomes(
+        ORDER, ORDER, ("s", "o"), unitary, mode, input_pair, control_pair
+    )
+    assert len(outcomes) == 32
+    for (in_short, ctrl_short), (want_s, want_o) in reference.items():
+        assert_same_outcome(outcomes[in_short, ctrl_short, "s"], want_s, exact_mode)
+        assert_same_outcome(outcomes[in_short, ctrl_short, "o"], want_o, exact_mode)
+
+    table = full_truth_table(unitary, mode, input_pair, control_pair)
+    assert [(r.input, r.control) for r in table.rows] == list(reference)
+    for row in table.rows:
+        want_s, want_o = reference[row.input, row.control]
+        assert (row.out_s, row.out_o) == (want_s.output.short, want_o.output.short)
+        if exact_mode:
+            assert row.prob_s == want_s.probability and row.prob_o == want_o.probability
+        else:
+            assert row.prob_s == pytest.approx(want_s.probability, abs=1e-12)
+            assert row.prob_o == pytest.approx(want_o.probability, abs=1e-12)
+
+    if input_pair == (0, 1) and control_pair == (0, 2):
+        rows = cnot_table(unitary, mode)
+        assert [(r.input, r.control, r.output) for r in rows] == reference_cnot_rows(
+            unitary, mode
+        )
+        for condition in ("s", "o"):
+            products = group_table(condition, unitary, mode).products
+            column = 0 if condition == "s" else 1
+            assert products == {
+                key: outs[column].output.short for key, outs in reference.items()
+            }
+
+
+@pytest.mark.parametrize(
+    "input_pair,control_pair",
+    [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 2)), ((0, 1), (2, 3))],
+)
+def test_tables_reject_bad_pairs(input_pair, control_pair):
+    with pytest.raises(SpecError):
+        full_truth_table(input_pair=input_pair, control_pair=control_pair)
+
+
+def test_tables_build_each_image_and_product_once(monkeypatch):
+    calls = {"apply_port_unitary": 0, "bosonic_product": 0}
+
+    def counted(name):
+        original = getattr(bell, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(bell, name, wrapper)
+
+    counted("apply_port_unitary")
+    counted("bosonic_product")
+    full_truth_table()
+    assert calls == {"apply_port_unitary": 8, "bosonic_product": 16}
+    cnot_table(mode="float")
+    assert calls == {"apply_port_unitary": 12, "bosonic_product": 20}

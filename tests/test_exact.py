@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiport import exact
 from multiport.exact import ExactComplex
@@ -92,3 +94,45 @@ def test_rendering_is_deterministic():
     assert str(z) == str(ExactComplex(Fraction(1, 2), (0, Fraction(-1, 3), 0, 0)))
     assert str(exact.ZERO) == "0"
     assert str(exact.I) == "(1)*i"
+
+
+_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_QUADS = st.tuples(_FRACTIONS, _FRACTIONS, _FRACTIONS, _FRACTIONS)
+# Rational and sqrt2-only scalars too, so that results land on the rational
+# line (where hash must agree with int and Fraction) often enough.
+_SCALARS = st.one_of(
+    st.builds(ExactComplex, _QUADS, _QUADS),
+    st.builds(ExactComplex, _FRACTIONS),
+    st.builds(lambda a, b: ExactComplex((0, a, 0, 0), (0, b, 0, 0)), _FRACTIONS, _FRACTIONS),
+    st.integers(-3, 3).map(ExactComplex),
+)
+
+
+def _kernel_results(a, b, k):
+    results = [
+        a + b, a - b, -a, a * b, a.conjugate(), a.abs_sq(), a ** 2, a ** 3,
+        a + k, k + a, a - k, k - a, a * k, k * a, a * Fraction(k, 7), a.abs_sq() - b.abs_sq(),
+    ]
+    if b:
+        results += [b.inverse(), a / b, k / b]
+    if k:
+        results.append(a / k)
+    return results
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=_SCALARS, b=_SCALARS, k=st.integers(-4, 4))
+def test_kernel_results_are_canonical(a, b, k):
+    for r in _kernel_results(a, b, k):
+        rebuilt = ExactComplex(r.re_coefficients, r.im_coefficients)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+        coefficients = r.re_coefficients + r.im_coefficients
+        assert len(coefficients) == 8
+        assert all(type(c) is Fraction for c in coefficients)
+        if r.is_rational():
+            q = r.as_fraction()
+            assert r == q and q == r and hash(r) == hash(q)
+            if q.denominator == 1:
+                assert r == int(q) and hash(r) == hash(int(q))
+    if b:
+        assert a * b.inverse() * b == a
