@@ -32,9 +32,10 @@ from .states import (
     MultiPhotonState,
     apply_port_unitary,
     bosonic_product,
+    merge_occupations,
     occupation_key,
+    occupation_port_counts,
     port_label,
-    project,
 )
 
 FAMILIES = ("Psi", "Phi")
@@ -62,13 +63,6 @@ class BellLabel:
     @property
     def short(self) -> str:
         return f"{self.family}{'+' if self.sign > 0 else '-'}"
-
-    def with_pair(self, pair: Tuple[int, int]) -> "BellLabel":
-        return BellLabel(self.family, self.sign, pair)
-
-    def family_swapped(self) -> "BellLabel":
-        other = "Phi" if self.family == "Psi" else "Psi"
-        return BellLabel(other, self.sign, self.pair)
 
     def __str__(self):
         return f"{self.short}@{port_label(self.pair[0])}{port_label(self.pair[1])}"
@@ -133,26 +127,38 @@ def classify_bell(
     """Match a two-photon state against the four Bell states on ``pair``.
 
     A label wins when its normalized overlap exceeds 1 - tol; the global
-    phase of the match is returned and never affects the label.
+    phase of the match is returned and never affects the label.  The
+    overlaps are read off the state's HV/VH (Psi) and HH/VV (Phi)
+    amplitudes x, y on the pair: <Bell+-|state> = (x +- y)/sqrt2.
     """
     norm = float(state.norm_sq())
     overlaps: Dict[str, float] = {}
     if norm == 0.0:
         return BellClassification(None, None, overlaps)
+    p, q = sorted(pair)
+    if p < 0 or q >= state.n_ports:
+        raise SpecError(f"pair {pair} outside ports 0..{state.n_ports - 1}")
+    zero = exact.scalar_zero(state.mode)
+
+    def amp(pol_p, pol_q):
+        return state.terms.get(occupation_key({(p, pol_p): 1, (q, pol_q): 1}), zero)
+
+    amplitudes = {"Psi": (amp(H, V), amp(V, H)), "Phi": (amp(H, H), amp(V, V))}
     best = None
     for family in FAMILIES:
+        x, y = amplitudes[family]
         for sign in (1, -1):
             label = BellLabel(family, sign, pair)
-            ref = bell_state(label, state.n_ports, state.mode)
-            ov = ref.overlap(state)
-            frac = float(exact.abs_sq(ov)) / norm
+            ov = x + y if sign > 0 else x - y  # sqrt2 times the overlap
+            frac = float(exact.abs_sq(ov)) / (2 * norm)
             overlaps[label.short] = frac
             if best is None or frac > best[0]:
                 best = (frac, label, ov)
     frac, label, ov = best
     if frac < 1.0 - tol:
         return BellClassification(None, None, overlaps)
-    phase = complex(ov)
+    inv = exact.INV_SQRT2 if state.mode == "exact" else complex(2 ** -0.5)
+    phase = complex(ov * inv)
     phase = phase / abs(phase)
     return BellClassification(label, phase, overlaps)
 
@@ -180,32 +186,65 @@ class GateOutcome:
     heralded_state: MultiPhotonState
 
 
-def _herald_sector(four: MultiPhotonState, herald: int, out_pair: Tuple[int, int]):
-    b, c = out_pair
-
-    def in_sector(occ: Dict) -> bool:
-        counts: Dict[int, int] = {}
-        for (port, _pol), k in occ.items():
-            counts[port] = counts.get(port, 0) + k
-        return counts.get(herald, 0) == 2 and counts.get(b, 0) == 1 and counts.get(c, 0) == 1
-
-    return project(four, in_sector)
+#: Herald-port (H, V) photon counts of the herald sector's three branches.
+_HERALD_BRANCHES = ((2, 0), (1, 1), (0, 2))
 
 
-def _strip_herald(state: MultiPhotonState, herald: int) -> MultiPhotonState:
-    stripped = {}
-    for occ, amp in state.terms.items():
-        rest = tuple((m, k) for m, k in occ if m[0] != herald)
-        cur = stripped.get(rest)
-        stripped[rest] = amp if cur is None else cur + amp
-    return MultiPhotonState(stripped, state.n_ports, state.mode)
+def _counts_key(counts: Dict[int, int]) -> tuple:
+    return tuple(sorted((port, k) for port, k in counts.items() if k))
+
+
+def _sector_product(
+    img_in: MultiPhotonState, img_ctrl: MultiPhotonState, herald: int, out_ports: Tuple[int, int]
+) -> Dict[Tuple[int, int], MultiPhotonState]:
+    """The herald sector of the bosonic product of two Bell images.
+
+    The sector is two photons at ``herald`` and one on each output port.
+    Only the image-term pairs whose per-port counts add up to it are
+    multiplied, and each output term receives its contributions in the
+    order ``bosonic_product`` adds them.  The result maps each herald
+    (H, V) count of ``_HERALD_BRANCHES`` to its branch, with the herald
+    modes stripped: a state on the output ports.
+    """
+    mode = img_in.mode
+    target = {herald: 2, out_ports[0]: 1, out_ports[1]: 1}
+    ctrl_by_counts: Dict[tuple, list] = {}
+    for occ, amp in img_ctrl.terms.items():
+        ctrl_by_counts.setdefault(_counts_key(occupation_port_counts(occ)), []).append((occ, amp))
+    branches: Dict[Tuple[int, int], Dict] = {key: {} for key in _HERALD_BRANCHES}
+    for occ_in, a_in in img_in.terms.items():
+        need = dict(target)
+        for port, k in occupation_port_counts(occ_in).items():
+            need[port] = need.get(port, 0) - k  # a negative count has no partner
+        for occ_ctrl, a_ctrl in ctrl_by_counts.get(_counts_key(need), ()):
+            occ, amp = merge_occupations(occ_in, occ_ctrl, a_in * a_ctrl, mode)
+            counts = dict(occ)
+            branch = branches[counts.get((herald, H), 0), counts.get((herald, V), 0)]
+            rest = tuple((m, k) for m, k in occ if m[0] != herald)
+            cur = branch.get(rest)
+            branch[rest] = amp if cur is None else cur + amp
+    return {
+        key: MultiPhotonState(terms, img_in.n_ports, mode) for key, terms in branches.items()
+    }
 
 
 def _gate_unitary(unitary: Optional[Matrix], mode: Optional[str]) -> Matrix:
+    """The gate's port matrix: the reference triport, or a supplied unitary.
+
+    The product norm is read off the untransformed Bell states, which
+    holds only for a unitary matrix, so a supplied one must be unitary:
+    exactly in exact mode, to 1e-12 in float mode.
+    """
     if unitary is None:
         return triport_unitary(mode or "exact")
     if mode is not None and mode != unitary.mode:
         raise SpecError("mode disagrees with the supplied unitary")
+    if unitary.mode == "exact":
+        unitary_ok = unitary @ unitary.dagger() == Matrix.identity(unitary.dim, "exact")
+    else:
+        unitary_ok = unitary.is_unitary(1e-12)
+    if not unitary_ok:
+        raise SpecError("the gate matrix is not unitary")
     return unitary
 
 
@@ -222,27 +261,21 @@ def _gate_ports(input_pair: Tuple[int, int], control_pair: Tuple[int, int]):
 
 
 def _herald(
-    sector: MultiPhotonState,
+    branches: Dict[Tuple[int, int], MultiPhotonState],
     product_norm_sq: float,
     kind: str,
-    herald: int,
     out_ports: Tuple[int, int],
 ) -> GateOutcome:
-    """Apply one herald condition to the herald sector of a product."""
-    mode = sector.mode
+    """Apply one herald condition to the herald branches of a product."""
+    mode = branches[1, 1].mode
     if kind == "o":
-        comp = project(sector, lambda occ: occ.get((herald, H), 0) == 1 and occ.get((herald, V), 0) == 1)
-        heralded = _strip_herald(comp, herald)
-        functional = heralded
+        heralded = branches[1, 1]
+        prob_scalar = heralded.norm_sq()
     else:
-        two_h = project(sector, lambda occ: occ.get((herald, H), 0) == 2)
-        two_v = project(sector, lambda occ: occ.get((herald, V), 0) == 2)
-        comp = two_h + two_v
+        two_h, two_v = branches[2, 0], branches[0, 2]
+        prob_scalar = two_h.norm_sq() + two_v.norm_sq()
         inv = exact.INV_SQRT2 if mode == "exact" else complex(2 ** -0.5)
-        functional = (_strip_herald(two_h, herald) + _strip_herald(two_v, herald)).scaled(inv)
-        heralded = functional
-
-    prob_scalar = comp.norm_sq()
+        heralded = (two_h + two_v).scaled(inv)
     probability = float(prob_scalar)
     label = phase = None
     if not heralded.is_zero():
@@ -253,17 +286,28 @@ def _herald(
         phase,
         probability,
         prob_scalar if mode == "exact" else None,
-        float(functional.norm_sq()),
+        float(heralded.norm_sq()),
         probability / product_norm_sq if product_norm_sq else 0.0,
         product_norm_sq,
         heralded,
     )
 
 
-def _heralded_product(img_in, img_ctrl, herald, out_ports):
-    """(herald sector, squared norm) of the four-photon product."""
-    four = bosonic_product(img_in, img_ctrl)
-    return _herald_sector(four, herald, out_ports), float(four.norm_sq())
+def _bell_and_image(unitary: Matrix, label: BellLabel):
+    state = bell_state(label, unitary.dim, unitary.mode)
+    return state, apply_port_unitary(unitary, state)
+
+
+def _heralded_product(bell_in, bell_ctrl, herald, out_ports):
+    """(herald branches, squared norm) of the four-photon product.
+
+    ``bell_in`` and ``bell_ctrl`` are (Bell state, image) pairs.  The
+    Fock-space map of a unitary preserves norms, so the product of the
+    images has the norm of the product of the Bell states: four terms.
+    """
+    (state_in, img_in), (state_ctrl, img_ctrl) = bell_in, bell_ctrl
+    product_norm_sq = float(bosonic_product(state_in, state_ctrl).norm_sq())
+    return _sector_product(img_in, img_ctrl, herald, out_ports), product_norm_sq
 
 
 def process(
@@ -276,20 +320,20 @@ def process(
     """Run the four-photon gate for one input/control pair.
 
     Pipeline: apply the port matrix to each Bell state photon-wise, take
-    the bosonic product, keep the sector with two photons at the herald
+    the sector of their bosonic product with two photons at the herald
     port and one at each output port, then apply the herald condition and
     classify what remains on the output pair.
     """
     unitary = _gate_unitary(unitary, mode)
     herald, out_ports = _gate_ports(input_label.pair, control_label.pair)
     cond = HeraldCondition(condition, herald)
-    sector, product_norm_sq = _heralded_product(
-        apply_port_unitary(unitary, bell_state(input_label, unitary.dim, unitary.mode)),
-        apply_port_unitary(unitary, bell_state(control_label, unitary.dim, unitary.mode)),
+    branches, product_norm_sq = _heralded_product(
+        _bell_and_image(unitary, input_label),
+        _bell_and_image(unitary, control_label),
         herald,
         out_ports,
     )
-    return _herald(sector, product_norm_sq, cond.kind, herald, out_ports)
+    return _herald(branches, product_norm_sq, cond.kind, out_ports)
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +369,32 @@ def _outcomes(
 ) -> Dict[Tuple[str, str, str], GateOutcome]:
     """``process`` for every (input, control, condition), keyed that way.
 
-    Each Bell image, and each input x control product with its norm, is
-    built once and read by every condition.
+    Each Bell image, and each input x control herald sector with its
+    norm, is built once and read by every condition.
     """
     labels_in = [parse_bell_short(short, input_pair) for short in in_shorts]
     labels_ctrl = [parse_bell_short(short, control_pair) for short in ctrl_shorts]
     unitary = _gate_unitary(unitary, None if unitary is not None else mode)
     herald, out_ports = _gate_ports(labels_in[0].pair, labels_ctrl[0].pair)
-
-    def image(label):
-        return apply_port_unitary(unitary, bell_state(label, unitary.dim, unitary.mode))
-
-    imgs_ctrl = [image(label) for label in labels_ctrl]
+    bells_ctrl = [_bell_and_image(unitary, label) for label in labels_ctrl]
     out = {}
     for in_short, label_in in zip(in_shorts, labels_in):
-        img_in = image(label_in)
-        for ctrl_short, img_ctrl in zip(ctrl_shorts, imgs_ctrl):
-            sector, product_norm_sq = _heralded_product(img_in, img_ctrl, herald, out_ports)
+        bell_in = _bell_and_image(unitary, label_in)
+        for ctrl_short, bell_ctrl in zip(ctrl_shorts, bells_ctrl):
+            branches, product_norm_sq = _heralded_product(bell_in, bell_ctrl, herald, out_ports)
             for cond in conditions:
                 out[in_short, ctrl_short, cond] = _herald(
-                    sector, product_norm_sq, cond, herald, out_ports
+                    branches, product_norm_sq, cond, out_ports
                 )
     return out
+
+
+def _output_short(out: GateOutcome, in_short: str, ctrl_short: str) -> str:
+    if out.output is None:
+        raise InvariantViolation(
+            f"gate output for ({in_short}, {ctrl_short}) is not a Bell state"
+        )
+    return out.output.short
 
 
 def full_truth_table(
@@ -360,16 +408,12 @@ def full_truth_table(
         for ctrl_short in _ORDER:
             out_s = outcomes[in_short, ctrl_short, "s"]
             out_o = outcomes[in_short, ctrl_short, "o"]
-            if out_s.output is None or out_o.output is None:
-                raise InvariantViolation(
-                    f"gate output for ({in_short}, {ctrl_short}) is not a Bell state"
-                )
             rows.append(
                 TruthTableRow(
                     in_short,
                     ctrl_short,
-                    out_s.output.short,
-                    out_o.output.short,
+                    _output_short(out_s, in_short, ctrl_short),
+                    _output_short(out_o, in_short, ctrl_short),
                     out_s.probability,
                     out_o.probability,
                 )
@@ -448,10 +492,10 @@ def group_table(
     """Family-level multiplication table induced by one herald condition,
     with a report on the axioms it satisfies."""
     _check_condition(condition)
-    table = full_truth_table(unitary, mode)
-    products: Dict[Tuple[str, str], str] = {}
-    for row in table.rows:
-        products[(row.input, row.control)] = row.out_s if condition == "s" else row.out_o
+    outcomes = _outcomes(_ORDER, _ORDER, (condition,), unitary, mode, (0, 1), (0, 2))
+    products: Dict[Tuple[str, str], str] = {
+        (a, b): _output_short(out, a, b) for (a, b, _cond), out in outcomes.items()
+    }
     violations: List[str] = []
 
     closure = all(v in _ORDER for v in products.values())

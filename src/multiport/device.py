@@ -309,11 +309,40 @@ def exit_record(spec: MultiportSpec, input_port: int, n_max: int) -> ExitRecord:
     if n_max > dev.max_steps:
         raise SpecError(f"n_max {n_max} exceeds max_steps {dev.max_steps}")
     _check_port(dev, input_port, "input")
+    if dev.mode == "float":
+        return _exit_record_dense(dev, input_port, n_max)
     steps = []
     for step, _internal, conservation in itertools.islice(
         _encounters(dev, input_port), n_max
     ):
         steps.append(step)
+    return ExitRecord(input_port, dev.n, dev.mode, steps, conservation)
+
+
+def _exit_record_dense(dev: CompiledMultiport, input_port: int, n_max: int) -> ExitRecord:
+    """Float exit record over the dense one-step operators.
+
+    Encounter 1 only injects the photon: nothing exits and the internal
+    state becomes x = B e_in.  Each later encounter exits C x and steps
+    x <- A x.  Conservation is measured at every encounter.
+    """
+    A, B, C = dense_step_operators(dev)
+    X = np.empty((3 * dev.n, n_max), dtype=complex)  # internal state after each encounter
+    X[:, 0] = B[:, input_port]
+    for k in range(1, n_max):
+        X[:, k] = A @ X[:, k - 1]
+    exits = np.zeros((dev.n, n_max), dtype=complex)
+    exits[:, 1:] = C @ X[:, :-1]
+    step_prob = (exits.real ** 2 + exits.imag ** 2).sum(axis=0)
+    cumulative = np.cumsum(step_prob)
+    internal = (X.real ** 2 + X.imag ** 2).sum(axis=0)
+    conservation = float(np.abs(internal + cumulative - 1.0).max())
+    steps = [
+        ExitStep(k + 1, tuple(amps), prob, cum)
+        for k, (amps, prob, cum) in enumerate(
+            zip(exits.T.tolist(), step_prob.tolist(), cumulative.tolist())
+        )
+    ]
     return ExitRecord(input_port, dev.n, dev.mode, steps, conservation)
 
 

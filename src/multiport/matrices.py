@@ -57,11 +57,6 @@ class Matrix:
     def to_numpy(self) -> np.ndarray:
         return np.array([[complex(v) for v in r] for r in self.rows], dtype=complex)
 
-    def to_float(self) -> "Matrix":
-        if self.mode == "float":
-            return self
-        return Matrix.from_numpy(self.to_numpy())
-
     def scaled(self, factor) -> "Matrix":
         return Matrix(tuple(tuple(v * factor for v in r) for r in self.rows), self.mode)
 

@@ -244,21 +244,25 @@ def bosonic_product(
     mode = s1.mode
     out: Dict[Occupation, object] = {}
     for occ1, a1 in s1.terms.items():
-        c1 = dict(occ1)
         for occ2, a2 in s2.terms.items():
-            amp = a1 * a2
-            combined = dict(c1)
-            for m, c in occ2:
-                prev = combined.get(m, 0)
-                combined[m] = prev + c
-                if prev:
-                    # binomial(prev + c, c) is one of {2, 3, 4, 6} here
-                    enh = _binom(prev + c, c)
-                    amp = amp * exact.sqrt_int(enh, mode)
-            key = occupation_key(combined)
+            key, amp = merge_occupations(occ1, occ2, a1 * a2, mode)
             cur = out.get(key)
             out[key] = amp if cur is None else cur + amp
     return MultiPhotonState(out, s1.n_ports, mode)
+
+
+def merge_occupations(occ1: Occupation, occ2: Occupation, amp, mode: str):
+    """(occupation, amplitude) of the product of two number states with
+    amplitude product ``amp``: each mode the two share multiplies ``amp``
+    by the bosonic enhancement sqrt((c+d)! / (c! d!))."""
+    combined = dict(occ1)
+    for m, c in occ2:
+        prev = combined.get(m, 0)
+        combined[m] = prev + c
+        if prev:
+            # binomial(prev + c, c) is one of {2, 3, 4, 6} here
+            amp = amp * exact.sqrt_int(_binom(prev + c, c), mode)
+    return occupation_key(combined), amp
 
 
 def _binom(n: int, k: int) -> int:
@@ -291,7 +295,8 @@ def apply_port_unitary(unitary, state: MultiPhotonState) -> MultiPhotonState:
         coef = amp
         factors = []
         for (port, pol), c in occ:
-            coef = coef / exact.sqrt_factorial(c, mode)
+            if c > 1:
+                coef = coef / exact.sqrt_factorial(c, mode)
             factors.extend(((port, pol),) * c)
         partial: Dict[Occupation, object] = {(): coef}
         for port, pol in factors:

@@ -10,8 +10,10 @@ the package's occupation-basis machinery.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from multiport import bell, exact
@@ -29,7 +31,15 @@ from multiport.bell import (
 from multiport.device import symmetric_unitary, triport_unitary
 from multiport.errors import SpecError
 from multiport.matrices import Matrix
-from multiport.states import H, V, bosonic_product, occupation_key
+from multiport.states import (
+    H,
+    V,
+    MultiPhotonState,
+    apply_port_unitary,
+    bosonic_product,
+    occupation_key,
+    project,
+)
 
 F = Fraction
 
@@ -584,7 +594,7 @@ def test_tables_reject_bad_pairs(input_pair, control_pair):
 
 
 def test_tables_build_each_image_and_product_once(monkeypatch):
-    calls = {"apply_port_unitary": 0, "bosonic_product": 0}
+    calls = {"apply_port_unitary": 0, "_sector_product": 0}
 
     def counted(name):
         original = getattr(bell, name)
@@ -596,8 +606,235 @@ def test_tables_build_each_image_and_product_once(monkeypatch):
         monkeypatch.setattr(bell, name, wrapper)
 
     counted("apply_port_unitary")
-    counted("bosonic_product")
+    counted("_sector_product")
     full_truth_table()
-    assert calls == {"apply_port_unitary": 8, "bosonic_product": 16}
+    assert calls == {"apply_port_unitary": 8, "_sector_product": 16}
     cnot_table(mode="float")
-    assert calls == {"apply_port_unitary": 12, "bosonic_product": 20}
+    assert calls == {"apply_port_unitary": 12, "_sector_product": 20}
+
+
+# ---------------------------------------------------------------------------
+# herald-sector gate against the full four-photon product
+# ---------------------------------------------------------------------------
+
+
+def reference_classify(state, pair, tol=1e-9):
+    """Classification by overlaps with the four reference Bell states."""
+    norm = float(state.norm_sq())
+    overlaps = {}
+    best = None
+    for short in ORDER:
+        label = parse_bell_short(short, pair)
+        ov = bell_state(label, state.n_ports, state.mode).overlap(state)
+        overlaps[short] = float(exact.abs_sq(ov)) / norm
+        if best is None or overlaps[short] > best[0]:
+            best = (overlaps[short], label, ov)
+    frac, label, ov = best
+    if frac < 1.0 - tol:
+        return None, None, overlaps
+    phase = complex(ov)
+    return label, phase / abs(phase), overlaps
+
+
+def reference_outcome(label_in, label_ctrl, condition, unitary):
+    """The gate through the whole four-photon product: bosonic product of
+    the two images, projection on the herald sector, herald condition,
+    herald modes stripped, classification."""
+    mode = unitary.mode
+    herald = (set(label_in.pair) & set(label_ctrl.pair)).pop()
+    b, c = sorted((set(label_in.pair) | set(label_ctrl.pair)) - {herald})
+    four = bosonic_product(
+        apply_port_unitary(unitary, bell_state(label_in, unitary.dim, mode)),
+        apply_port_unitary(unitary, bell_state(label_ctrl, unitary.dim, mode)),
+    )
+
+    def port_counts(occ):
+        counts = {}
+        for (port, _pol), k in occ.items():
+            counts[port] = counts.get(port, 0) + k
+        return counts
+
+    sector = project(four, lambda occ: port_counts(occ) == {herald: 2, b: 1, c: 1})
+
+    def strip(state):
+        out = {}
+        for occ, amp in state.terms.items():
+            rest = tuple((m, k) for m, k in occ if m[0] != herald)
+            out[rest] = out[rest] + amp if rest in out else amp
+        return MultiPhotonState(out, state.n_ports, mode)
+
+    if condition == "o":
+        comp = project(sector, lambda occ: occ.get((herald, H)) == 1 == occ.get((herald, V)))
+        heralded = strip(comp)
+    else:
+        two_h = project(sector, lambda occ: occ.get((herald, H)) == 2)
+        two_v = project(sector, lambda occ: occ.get((herald, V)) == 2)
+        comp = two_h + two_v
+        inv = exact.INV_SQRT2 if mode == "exact" else complex(2 ** -0.5)
+        heralded = (strip(two_h) + strip(two_v)).scaled(inv)
+    prob = comp.norm_sq()
+    product_norm_sq = float(four.norm_sq())
+    label = phase = None
+    if not heralded.is_zero():
+        label, phase, _ = reference_classify(heralded, (b, c))
+    return bell.GateOutcome(
+        label,
+        phase,
+        float(prob),
+        prob if mode == "exact" else None,
+        float(heralded.norm_sq()),
+        float(prob) / product_norm_sq if product_norm_sq else 0.0,
+        product_norm_sq,
+        heralded,
+    )
+
+
+def _random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return Matrix.from_numpy(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def _permutation(perm):
+    return Matrix(
+        [[exact.ONE if perm[j] == i else exact.ZERO for j in range(3)] for i in range(3)],
+        "exact",
+    )
+
+
+SECTOR_UNITARIES = {
+    "triport-exact": lambda: triport_unitary("exact"),
+    "triport-float": lambda: triport_unitary("float"),
+    "sym-exact": lambda: symmetric_unitary(math.pi / 4, math.pi, "exact"),
+    "sym-float": lambda: symmetric_unitary(0.3, 1.1, "float"),
+    "swap-bc": lambda: _permutation((0, 2, 1)),
+    "cyclic": lambda: _permutation((1, 2, 0)),
+    "random-11": lambda: _random_unitary(11),
+    "random-12": lambda: _random_unitary(12),
+}
+SECTOR_GEOMETRIES = [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((2, 1), (2, 0))]
+
+
+@pytest.mark.parametrize("geometry", SECTOR_GEOMETRIES)
+@pytest.mark.parametrize("unitary_name", sorted(SECTOR_UNITARIES))
+def test_sector_gate_matches_full_product(unitary_name, geometry):
+    unitary = SECTOR_UNITARIES[unitary_name]()
+    input_pair, control_pair = geometry
+    exact_mode = unitary.mode == "exact"
+    outcomes = bell._outcomes(ORDER, ORDER, ("s", "o"), unitary, None, input_pair, control_pair)
+    assert len(outcomes) == 32
+    for (in_short, ctrl_short, condition), got in outcomes.items():
+        label_in = parse_bell_short(in_short, input_pair)
+        label_ctrl = parse_bell_short(ctrl_short, control_pair)
+        want = reference_outcome(label_in, label_ctrl, condition, unitary)
+        assert_same_outcome(got, want, exact_mode)
+        if want.heralded_state.is_zero():
+            continue
+        out_pair = tuple(sorted(set(input_pair) ^ set(control_pair)))
+        cls = classify_bell(want.heralded_state, out_pair)
+        label, phase, overlaps = reference_classify(want.heralded_state, out_pair)
+        assert cls.label == label and list(cls.overlaps) == list(overlaps)
+        if exact_mode:
+            assert (cls.phase, cls.overlaps) == (phase, overlaps)
+        else:
+            assert all(cls.overlaps[k] == pytest.approx(v, abs=1e-12) for k, v in overlaps.items())
+            assert cls.phase is None if phase is None else cls.phase == pytest.approx(phase, abs=1e-12)
+
+
+def _random_two_photon_state(rng, mode):
+    """A seeded two-photon state on three ports with no polarization
+    symmetry: every occupation, random amplitudes."""
+    modes = [(port, pol) for port in range(3) for pol in (H, V)]
+    terms = {}
+    for i, m1 in enumerate(modes):
+        for m2 in modes[i:]:
+            counts = {m1: 1}
+            counts[m2] = counts.get(m2, 0) + 1
+            re, im = rng.randint(-9, 9), rng.randint(-9, 9)
+            terms[occupation_key(counts)] = (
+                exact.ExactComplex(F(re, 7), F(im, 5)) if mode == "exact" else complex(re / 7, im / 5)
+            )
+    return MultiPhotonState(terms, 3, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_sector_product_and_herald_match_full_product(mode):
+    """The sector product and both herald conditions on states without the
+    H <-> V symmetry of Bell images, against the whole product."""
+    rng = random.Random(61 if mode == "exact" else 62)
+    for _ in range(6):
+        s1, s2 = _random_two_photon_state(rng, mode), _random_two_photon_state(rng, mode)
+        herald = rng.randrange(3)
+        out_ports = tuple(p for p in range(3) if p != herald)
+        four = bosonic_product(s1, s2)
+        branches = bell._sector_product(s1, s2, herald, out_ports)
+        assert set(branches) == {(2, 0), (1, 1), (0, 2)}
+        for (h, v), branch in branches.items():
+            want = {}
+            for occ, amp in four.terms.items():
+                counts = dict(occ)
+                ports = {}
+                for (port, _pol), k in occ:
+                    ports[port] = ports.get(port, 0) + k
+                if ports == {herald: 2, out_ports[0]: 1, out_ports[1]: 1} and (
+                    counts.get((herald, H), 0), counts.get((herald, V), 0)
+                ) == (h, v):
+                    want[tuple((m, k) for m, k in occ if m[0] != herald)] = amp
+            assert branch.terms == want
+        for kind, keys in (("o", [(1, 1)]), ("s", [(2, 0), (0, 2)])):
+            out = bell._herald(branches, 1.0, kind, out_ports)
+            prob = sum(
+                (exact.abs_sq(a) for key in keys for a in branches[key].terms.values()),
+                exact.scalar_zero(mode) if mode == "exact" else 0.0,
+            )
+            assert out.probability == pytest.approx(float(prob), abs=1e-12)
+            assert out.probability_exact == (prob if mode == "exact" else None)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_classify_matches_reference_overlaps(mode):
+    """classify_bell against overlaps with the four reference states, on
+    seeded states that are and are not Bell states, on each port pair."""
+    rng = random.Random(71)
+    for _ in range(12):
+        pair = tuple(sorted(rng.sample(range(3), 2)))
+        state = _random_two_photon_state(rng, mode)
+        if rng.random() < 0.5:
+            label = parse_bell_short(rng.choice(ORDER), pair)
+            ref = bell_state(label, 3, mode)
+            state = ref.scaled(next(iter(state.terms.values())))
+        cls = classify_bell(state, pair)
+        label, phase, overlaps = reference_classify(state, pair)
+        assert cls.label == label and list(cls.overlaps) == list(overlaps)
+        if mode == "exact":
+            assert (cls.phase, cls.overlaps) == (phase, overlaps)
+        else:
+            assert all(cls.overlaps[k] == pytest.approx(v, abs=1e-12) for k, v in overlaps.items())
+            assert cls.phase is None if phase is None else cls.phase == pytest.approx(phase, abs=1e-12)
+
+
+def _off_unitary(mode):
+    """A gate matrix that misses unitarity by a little: exactly in exact
+    mode, by 1e-9 in float mode."""
+    u = triport_unitary(mode)
+    rows = [list(r) for r in u.rows]
+    rows[0][0] = rows[0][0] + (exact.ExactComplex(F(1, 10 ** 9)) if mode == "exact" else 1e-9)
+    return Matrix(rows, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_gate_rejects_non_unitary_matrix(mode):
+    u = _off_unitary(mode)
+    with pytest.raises(SpecError):
+        process(BellLabel("Psi", 1, (0, 1)), BellLabel("Psi", 1, (0, 2)), "s", u)
+    with pytest.raises(SpecError):
+        full_truth_table(u, mode)
+    with pytest.raises(SpecError):
+        cnot_table(u, mode)
+    with pytest.raises(SpecError):
+        group_table("o", u, mode)
+    if mode == "float":
+        # within the 1e-12 float tolerance the matrix is accepted
+        rows = [list(r) for r in triport_unitary("float").rows]
+        rows[0][0] += 1e-14
+        assert cnot_table(Matrix(rows, "float"), "float")

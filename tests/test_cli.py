@@ -397,3 +397,82 @@ def test_walk_config_never_escapes(config, lead, steps):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in {0, 1, 2, 3, 4}
+
+
+_OPTION_VALUES = {
+    "--condition": ["s", "o"],
+    "--mode": ["exact", "float"],
+    "--format": ["json", "csv"],
+}
+_GATE_FAULTS = (
+    "option value", "missing value", "extra token", "config missing", "config malformed",
+    "config not object", "config mode", "env mode",
+)
+_TOKENS = st.text(alphabet="sofxacjnE-=1 ", max_size=5)
+
+
+@st.composite
+def _gate_argv(draw):
+    """(argv, config, config file text, MULTIPORT_NUMERIC_MODE) for
+    ``bell-table``, ``group-table`` or ``cnot``: a valid call, or one with
+    a fault: a junk option value, an option without its value, a stray
+    token, the config missing, malformed or not an object, or a junk
+    numeric mode in the config or the environment."""
+    fault = draw(st.one_of(st.none(), st.sampled_from(_GATE_FAULTS)))
+    command = draw(st.sampled_from(["bell-table", "group-table", "cnot"]))
+    argv = [command]
+    flags = [flag for flag in _OPTION_VALUES if flag != "--condition" or command == "group-table"]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_OPTION_VALUES[flag]))]
+    if fault == "option value":
+        argv += [draw(st.sampled_from(list(_OPTION_VALUES))), draw(_TOKENS)]
+    elif fault == "missing value":
+        argv.append(draw(st.sampled_from(list(_OPTION_VALUES))))
+    elif fault == "extra token":
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "x", "-n"])))
+    config, text = None, None
+    if fault == "config missing":
+        config = "missing"
+    elif fault in ("config malformed", "config not object"):
+        config = "file"
+        text = draw(st.sampled_from(["{", '{"numeric_mode": }', ""] if fault == "config malformed"
+                                    else ["[]", "3", '"exact"', "null"]))
+    elif fault == "config mode" or draw(st.booleans()):
+        config = "file"
+        mode = _JUNK if fault == "config mode" else st.sampled_from(["exact", "float"])
+        text = json.dumps({"numeric_mode": draw(mode)})
+    env_modes = ["", "x", "EXACT", "exact "] if fault == "env mode" else [None, "exact", "float"]
+    return argv, config, text, draw(st.sampled_from(env_modes))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_gate_argv())
+def test_gate_commands_never_escape(case):
+    """Generated argv, configs and numeric-mode environments for the gate
+    commands map to an exit code; nothing escapes as a traceback, and a
+    failed command prints nothing on stdout."""
+    argv, config, text, env = case
+    saved = os.environ.get("MULTIPORT_NUMERIC_MODE")
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "gate.json")
+            if config == "file":
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = argv + ["--config", path]
+        if env is None:
+            os.environ.pop("MULTIPORT_NUMERIC_MODE", None)
+        else:
+            os.environ["MULTIPORT_NUMERIC_MODE"] = env
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            if saved is None:
+                os.environ.pop("MULTIPORT_NUMERIC_MODE", None)
+            else:
+                os.environ["MULTIPORT_NUMERIC_MODE"] = saved
+    assert code in {0, 1, 2, 3, 4}
+    assert (code == 0) == bool(out.getvalue())
