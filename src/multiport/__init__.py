@@ -25,6 +25,7 @@ from .bell import (
 from .device import (
     AmplitudeSeries,
     ExitRecord,
+    LongTimeResult,
     MultiportSpec,
     PathTrace,
     SteadyStateResult,
@@ -34,6 +35,7 @@ from .device import (
     enumerate_paths,
     exit_record,
     grover_coin,
+    long_time_matrix,
     steady_state,
     symmetric_unitary,
     triport_unitary,

@@ -132,16 +132,29 @@ def resolve_mode(args, cfg) -> str:
     return mode
 
 
+def _read(convert, value, what):
+    """``convert(value)`` for a flag or config value; a value of the wrong
+    type or form is a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad {what}: {value!r}") from err
+
+
 def _phase_list(value):
+    """One phase, or a list of phases, as floats: from a flag ('0.5' or
+    '0,0.5,1') or a config value (a number or a list)."""
     if value is None:
         return None
-    if isinstance(value, str):
-        return [float(p) for p in value.split(",")] if "," in value else float(value)
-    return value
+    if isinstance(value, str) and "," in value:
+        value = value.split(",")
+    if isinstance(value, list):
+        return [_read(float, p, "phase") for p in value]
+    return _read(float, value, "phase")
 
 
 def device_spec(args, cfg) -> device.MultiportSpec:
-    dcfg = dict(cfg.get("device", {}))
+    dcfg = _read(dict, cfg.get("device", {}), "device section")
     n = args.n if args.n is not None else dcfg.get("n", 3)
     mode = resolve_mode(args, cfg)
     r = args.r if args.r is not None else dcfg.get("r")
@@ -154,9 +167,9 @@ def device_spec(args, cfg) -> device.MultiportSpec:
     )
     max_steps = args.max_steps if args.max_steps is not None else dcfg.get("max_steps")
 
-    kwargs = {"n": int(n), "mode": mode}
+    kwargs = {"n": _read(int, n, "port count"), "mode": mode}
     if max_steps is not None:
-        kwargs["max_steps"] = int(max_steps)
+        kwargs["max_steps"] = _read(int, max_steps, "max_steps")
     if r is not None or t is not None:
         if mode == "exact":
             raise ConfigError("exact mode supports only the default r/t amplitudes")
@@ -265,17 +278,15 @@ def cmd_paths(args, cfg):
 
 def cmd_unitary(args, cfg):
     spec = device_spec(args, cfg)
-    result = device.steady_state(spec, tol=args.tol)
-    if not result.converged:
-        raise ConvergenceError(
-            f"steady state not converged: residual {result.residual:.3e} "
-            f"after {result.steps_used} steps"
-        )
+    result = device.long_time_matrix(spec, tol=args.tol)
     data = {
         "matrix": encode_matrix(result.matrix),
+        "method": result.method,
         "residual": result.residual,
-        "steps_used": result.steps_used,
-        "converged": result.converged,
+        "reachable_dim": result.reachable_dim,
+        "trapped_modes": result.trapped_modes,
+        "unitarity_dev": result.unitarity_dev,
+        "converged": True,
     }
     if args.format == "csv":
         buf = io.StringIO()
@@ -535,24 +546,21 @@ def cmd_walk(args, cfg):
 
 
 def cmd_feasibility(args, cfg):
-    fcfg = dict(cfg.get("feasibility", {}))
-    d = args.d if args.d is not None else fcfg.get("d")
+    fcfg = _read(dict, cfg.get("feasibility", {}), "feasibility section")
+
+    def value(flag, key, default=None):
+        v = flag if flag is not None else fcfg.get(key, default)
+        return None if v is None else _read(float, v, key)
+
+    d = value(args.d, "d")
     if d is None:
         raise ConfigError("feasibility needs --d (edge length, meters)")
     budget = feasibility.assess(
-        float(d),
-        refractive_index=float(
-            args.index if args.index is not None else fcfg.get("refractive_index", 1.0)
-        ),
-        pulse_duration=(
-            float(args.dt) if args.dt is not None else fcfg.get("pulse_duration")
-        ),
-        spectral_width=(
-            float(args.dnu) if args.dnu is not None else fcfg.get("spectral_width")
-        ),
-        detector_time=(
-            float(args.td) if args.td is not None else fcfg.get("detector_time")
-        ),
+        d,
+        refractive_index=value(args.index, "refractive_index", 1.0),
+        pulse_duration=value(args.dt, "pulse_duration"),
+        spectral_width=value(args.dnu, "spectral_width"),
+        detector_time=value(args.td, "detector_time"),
     )
     data = {
         "d": budget.d,
@@ -589,7 +597,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="multiport", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_device=False):
+    def common(p, with_device=False, max_steps_help="encounter limit of the device"):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--mode", choices=["exact", "float"], help="numeric mode")
         p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -599,7 +607,7 @@ def build_parser() -> _Parser:
             p.add_argument("--t", help="transmission amplitude")
             p.add_argument("--mirror-phase", dest="mirror_phase", type=float)
             p.add_argument("--edge-phase", dest="edge_phase")
-            p.add_argument("--max-steps", dest="max_steps", type=int)
+            p.add_argument("--max-steps", dest="max_steps", type=int, help=max_steps_help)
 
     p = sub.add_parser("exits", help="per-encounter exit amplitude table")
     common(p, True)
@@ -607,16 +615,31 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=10)
     p.set_defaults(fn=cmd_exits)
 
-    p = sub.add_parser("paths", help="enumerate paths between two ports")
+    p = sub.add_parser(
+        "paths",
+        help="enumerate paths between two ports",
+        description="List every path between two ports with the given number of "
+        "beam-splitter encounters. At most 65536 paths are listed; the cap bounds "
+        "their count, not the time: in exact mode 43690 paths at length 34 take "
+        "about 7 s.",
+    )
     common(p, True)
     p.add_argument("--input", default="A")
     p.add_argument("--exit", default="B")
     p.add_argument("--length", type=int, required=True, help="beam-splitter encounters")
     p.set_defaults(fn=cmd_paths)
 
-    p = sub.add_parser("unitary", help="steady-state transition matrix")
-    common(p, True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p = sub.add_parser(
+        "unitary",
+        help="long-time transition matrix",
+        description="The long-time transition matrix U = C (I - A)^-1 B, solved on the "
+        "internal modes the inputs reach (method 'resolvent').",
+    )
+    common(p, True, max_steps_help="not used: the matrix is solved, not summed "
+           "encounter by encounter (it must still be at least 2)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="bound on the residual, the largest column norm of "
+                   "(I - A) X - B; above it the exit code is 3")
     p.set_defaults(fn=cmd_unitary)
 
     p = sub.add_parser("family", help="symmetric transition-matrix family")

@@ -13,6 +13,7 @@ a device's local modes, with the mirror and edge factors folded into the
 weights and the path letters attached.  Everything else reads those rows:
 ``dense_step_operators`` fills the one-step matrices from them,
 ``exit_record`` and exact ``steady_state`` step a sparse state through
+them, exact ``long_time_matrix`` builds its reachable subspace with
 them, ``enumerate_paths`` searches them, and a physical walk vertex
 (``network``) places them in the walk's state vector.
 
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from . import exact
-from .errors import ConvergenceError, SpecError
+from .errors import ConvergenceError, InvariantViolation, SpecError
 from .matrices import Matrix
 from .states import port_label
 
@@ -261,6 +262,17 @@ def _successors(rows: list) -> list:
     return successors
 
 
+def _sparse_step(successors: list, state: dict) -> dict:
+    """One step of a sparse state {mode: amplitude} through the step
+    rows; amplitudes that cancel to zero are kept."""
+    new = {}
+    for src, amp in state.items():
+        for out, weight, _symbol in successors[src]:
+            term = amp * weight
+            new[out] = new[out] + term if out in new else term
+    return new
+
+
 def _check_port(dev: CompiledMultiport, port: int, what: str) -> None:
     if not 0 <= port < dev.n:
         raise SpecError(f"{what} port {port} outside the device")
@@ -287,11 +299,7 @@ def _encounters(dev: CompiledMultiport, input_port: int):
     cumulative = real_zero
     conservation = 0.0
     for k in itertools.count(1):
-        new = {}
-        for src, amp in state.items():
-            for out, weight, _symbol in successors[src]:
-                term = amp * weight
-                new[out] = new[out] + term if out in new else term
+        new = _sparse_step(successors, state)
         exits = tuple(new.pop(3 * n + p, zero) for p in range(n))
         state = {mode: a for mode, a in new.items() if not _amp_is_zero(a, dev.mode)}
         step_prob = sum((exact.abs_sq(a) for a in exits), real_zero)
@@ -463,6 +471,237 @@ def steady_state(spec: MultiportSpec, tol: float = 1e-12) -> SteadyStateResult:
     return SteadyStateResult(
         Matrix(rows, dev.mode), worst_residual, steps_used, converged, conservation
     )
+
+
+# ---------------------------------------------------------------------------
+# Long-time matrix as a resolvent on the reachable subspace
+# ---------------------------------------------------------------------------
+
+# A Krylov candidate joins the float basis when what is left of it after
+# orthogonalization is above this fraction of its norm.
+_KRYLOV_TOL = 1e-10
+
+
+@dataclass
+class LongTimeResult:
+    """The long-time transition matrix U = C (I - A)^-1 B, one column per
+    input port, solved on the subspace the inputs reach."""
+
+    matrix: Matrix
+    residual: float
+    reachable_dim: int
+    unitarity_dev: float
+
+    method = "resolvent"  # which solver produced the matrix
+
+    @property
+    def trapped_modes(self) -> int:
+        """Internal modes no input reaches: 3n - reachable_dim."""
+        return 3 * self.matrix.dim - self.reachable_dim
+
+
+def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
+    """The sum over all encounters, U = C sum_k A^k B, in closed form.
+
+    ``I - A`` is singular for every reference device: A has eigenvalue 1
+    on internal modes no input reaches.  Those modes are orthogonal to
+    the Krylov space K = span[B, AB, A^2 B, ...], where A is a strict
+    contraction, so the system is solved there: with a basis E of K and
+    A E = E H, U = C E (I - H)^-1 E^+ B.  ``spec.max_steps`` is not used.
+
+    Float mode takes an orthonormal E (block Arnoldi, orthogonalized
+    twice) and ``np.linalg.solve``.  Exact mode takes E in reduced
+    row-echelon form, chosen by exact zero tests: H's columns are A e_j
+    read at the pivot rows, and (I - H) Z = B[pivots] is solved by
+    sparse elimination over ExactComplex, with no tolerance and no
+    square root.  The dimension of K is ``reachable_dim``.
+
+    ``residual`` is the largest column norm of (I - A) X - B for
+    X = E Z.  Above ``tol`` it is a ConvergenceError; in exact mode it
+    must be exactly zero and U U^H must equal I under ``==``, or the
+    result is an InvariantViolation.
+    """
+    if not tol > 0:
+        raise SpecError("tol must be positive")
+    dev = compile_spec(spec)
+    solve = _resolvent_dense if dev.mode == "float" else _resolvent_exact
+    matrix, residual, dim = solve(dev)
+    if dev.mode == "exact":
+        if residual:
+            raise InvariantViolation(f"exact resolvent left residual {residual:.3e}")
+        if not _exactly_unitary(matrix.rows):
+            raise InvariantViolation("exact long-time matrix is not unitary")
+        unitarity = 0.0
+    else:
+        unitarity = matrix.unitarity_dev()
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"long-time matrix residual {residual:.3e} above tol {tol:.3e}"
+        )
+    return LongTimeResult(matrix, residual, dim, unitarity)
+
+
+def _resolvent_dense(dev: CompiledMultiport):
+    """(U, residual, reachable dimension) with numpy."""
+    A, B, C = dense_step_operators(dev)
+    k = 3 * dev.n
+    Q = np.empty((k, k), dtype=complex)
+    d = 0
+    pending = list(B.T)
+    for v in pending:  # grows while the basis does
+        if d == k:
+            break
+        w = v
+        for _ in range(2):
+            w = w - Q[:, :d] @ (Q[:, :d].conj().T @ w)
+        norm = np.linalg.norm(w)
+        if norm > _KRYLOV_TOL * np.linalg.norm(v):
+            Q[:, d] = w / norm
+            pending.append(A @ Q[:, d])
+            d += 1
+    Q = Q[:, :d]
+    H = Q.conj().T @ A @ Q
+    try:
+        X = Q @ np.linalg.solve(np.eye(d) - H, Q.conj().T @ B)
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"I - H is singular on the reachable subspace: {err}") from err
+    residual = float(np.linalg.norm(X - A @ X - B, axis=0).max())
+    return Matrix.from_numpy(C @ X), residual, d
+
+
+def _resolvent_exact(dev: CompiledMultiport):
+    """(U, residual, reachable dimension) over ExactComplex.
+
+    Vectors are sparse dicts over the local modes of ``step_rows``.  The
+    basis is kept reduced: basis[i] is one at pivots[i] and zero at
+    every other pivot, so a vector of K is the sum of its pivot entries
+    times the basis.
+    """
+    n, k = dev.n, 3 * dev.n
+    successors = _successors(step_rows(dev))
+    zero = exact.ZERO
+
+    def step(x):
+        return {m: a for m, a in _sparse_step(successors, x).items() if not a.is_zero()}
+
+    inputs = [step({k + p: exact.ONE}) for p in range(n)]
+    basis, pivots = [], []
+    pending = list(inputs)
+    for v in pending:  # grows while the basis does
+        for e, p in zip(basis, pivots):
+            c = v.get(p)
+            if c is not None:
+                v = _axpy(v, -c, e)
+        if not v:
+            continue
+        p = min(v)
+        scale = v[p].inverse()
+        v = {m: a * scale for m, a in v.items()}
+        for i, e in enumerate(basis):
+            c = e.get(p)
+            if c is not None:
+                basis[i] = _axpy(e, -c, v)
+        basis.append(v)
+        pivots.append(p)
+        pending.append({m: a for m, a in step(v).items() if m < k})
+
+    # (I - H) Z = B at the pivots, one sparse row per pivot; column j < d
+    # is unknown j, column d + q is input q's right-hand side.
+    d = len(basis)
+    images = [step(e) for e in basis]
+    rows = []
+    for i, p in enumerate(pivots):
+        h_row = {j: a for j, image in enumerate(images) if (a := image.get(p)) is not None}
+        row = _minus({i: exact.ONE}, h_row)
+        row.update((d + q, x[p]) for q, x in enumerate(inputs) if p in x)
+        rows.append(row)
+    Z = _solve_sparse(rows, d, n)
+
+    columns, residual = [], 0.0
+    for col in range(n):
+        x = {}
+        for j in range(d):
+            if not Z[j][col].is_zero():
+                x = _axpy(x, Z[j][col], basis[j])
+        y = step(x)
+        columns.append([y.get(k + q, zero) for q in range(n)])
+        inside = {m: a for m, a in y.items() if m < k}
+        r = _minus(_minus(x, inside), inputs[col])
+        residual = max(residual, math.sqrt(float(sum((a.abs_sq() for a in r.values()), zero))))
+    U = tuple(tuple(column[q] for column in columns) for q in range(n))
+    return Matrix(U, "exact"), residual, d
+
+
+def _exactly_unitary(rows) -> bool:
+    """U U^H == I, one triangle of the Hermitian product."""
+    conj = [[a.conjugate() for a in row] for row in rows]
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            total = sum((a * b for a, b in zip(row, conj[j]) if a and b), exact.ZERO)
+            if total != (exact.ONE if i == j else exact.ZERO):
+                return False
+    return True
+
+
+def _axpy(y: dict, c, x: dict) -> dict:
+    """y + c x for sparse exact vectors, zeros dropped."""
+    out = dict(y)
+    for m, a in x.items():
+        term = c * a
+        out[m] = out[m] + term if m in out else term
+    return {m: a for m, a in out.items() if not a.is_zero()}
+
+
+def _minus(y: dict, x: dict) -> dict:
+    """y - x for sparse exact vectors, zeros dropped."""
+    out = dict(y)
+    for m, a in x.items():
+        out[m] = out[m] - a if m in out else -a
+    return {m: a for m, a in out.items() if not a.is_zero()}
+
+
+def _solve_sparse(rows: list, d: int, width: int) -> list:
+    """Solve d exact sparse equations in d unknowns, ``width`` right-hand
+    sides at columns d.., by elimination and back substitution.
+
+    Each pivot is the entry whose row and column hold the fewest other
+    unknowns, which keeps the fill-in of these sparse systems small.  A
+    singular system is an InvariantViolation: I - H is invertible on the
+    reachable subspace.
+    """
+    live = set(range(d))
+    order = []  # (row, column, inverse of the pivot)
+    for _ in range(d):
+        counts = collections.Counter(c for r in live for c in rows[r] if c < d)
+        best = None
+        for r in live:
+            unknowns = [c for c in rows[r] if c < d]
+            for c in unknowns:
+                cost = (len(unknowns) - 1) * (counts[c] - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, r, c)
+        if best is None:
+            raise InvariantViolation("I - H is singular on the reachable subspace")
+        _cost, r, c = best
+        live.discard(r)
+        pivot = rows[r]
+        inv = pivot[c].inverse()
+        order.append((r, c, inv))
+        for s in live:
+            f = rows[s].get(c)
+            if f is not None:
+                eliminated = _axpy(rows[s], -(f * inv), pivot)
+                eliminated.pop(c, None)
+                rows[s] = eliminated
+    solution = [None] * d
+    for r, c, inv in reversed(order):
+        row = rows[r]
+        values = [row.get(d + q, exact.ZERO) for q in range(width)]
+        for c2, a in row.items():
+            if c2 < d and c2 != c:
+                values = [v if x.is_zero() else v - a * x for v, x in zip(values, solution[c2])]
+        solution[c] = [v if v.is_zero() else v * inv for v in values]
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +882,8 @@ def symmetric_unitary(phi_a: float, phi: float, mode: str = "float") -> Matrix:
     mode accepts phi_a at multiples of pi/4 and phi at multiples of pi/2
     (the cases where alpha is rational).
     """
+    if not (math.isfinite(phi_a) and math.isfinite(phi)):
+        raise SpecError("phi_a and phi must be finite")
     if mode == "exact":
         lead = _phase_factor(phi_a, "exact")
         k = round(phi / (math.pi / 2.0))

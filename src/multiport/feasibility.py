@@ -57,25 +57,30 @@ def assess(
     detector_time; infeasible inputs do not raise, they come back with
     constraints_ok=False and the violated inequality named.
     """
-    if d <= 0:
-        raise SpecError("edge length d must be positive")
-    if refractive_index < 1.0:
-        raise SpecError("refractive index must be >= 1")
+    # Written so that NaN fails: comparisons with NaN are false.
+    if not 0 < d < math.inf:
+        raise SpecError("edge length d must be positive and finite")
+    if not 1.0 <= refractive_index < math.inf:
+        raise SpecError("refractive index must be >= 1 and finite")
     if pulse_duration is not None and spectral_width is not None:
         raise SpecError("give pulse_duration or spectral_width, not both")
 
     transit = refractive_index * d / SPEED_OF_LIGHT
+    if transit == 0:
+        raise SpecError("edge length d is too small for double precision")
     decay = decay_factor * transit
     rate = 1.0 / decay
 
     if pulse_duration is not None:
-        if pulse_duration <= 0:
+        if not pulse_duration > 0:
             raise SpecError("pulse duration must be positive")
         spectral_width = 1.0 / (4.0 * math.pi * pulse_duration)
     elif spectral_width is not None:
-        if spectral_width <= 0:
+        if not spectral_width > 0:
             raise SpecError("spectral width must be positive")
         pulse_duration = 1.0 / (4.0 * math.pi * spectral_width)
+    if spectral_width == math.inf:
+        raise SpecError("spectral width must be finite")
 
     coherence_time = None
     coherence_length = None
@@ -92,7 +97,7 @@ def assess(
     constraints_ok: Optional[bool] = None
     violations = []
     if detector_time is not None:
-        if detector_time <= 0:
+        if not detector_time > 0:
             raise SpecError("detector time must be positive")
         constraints_ok = True
         if detector_time < decay:

@@ -198,6 +198,11 @@ class WalkEngine:
 
         self.lead_count = len(g.leads)
         self.inter_vertex_mode_count = 2 * len(edges)
+        # Per physical vertex, CompiledMultiport.inter_vertex_mode_count +
+        # mirror_stub_mode_count = 4n: 2n polygon-edge modes (cw, ccw) and
+        # 2n mirror-stub modes (into and back out of each stub).  The state
+        # vector below folds each mirror round trip into one mode, so it
+        # holds 3n per vertex.
         if self.kind == "physical":
             self.intra_vertex_mode_count = sum(4 * v.spec.n for v in g.vertices)
         else:

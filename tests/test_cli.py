@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -122,6 +123,9 @@ def test_unitary_command(capsys):
     data = payload["data"]
     assert data["converged"] is True
     assert data["residual"] < 1e-12
+    assert (data["method"], data["reachable_dim"], data["trapped_modes"]) == ("resolvent", 7, 2)
+    assert data["unitarity_dev"] < 1e-12
+    assert "steps_used" not in data
     m = data["matrix"]
     assert m[0][0][1] == pytest.approx(-1 / 3, abs=1e-9)
     assert m[0][1][1] == pytest.approx(2 / 3, abs=1e-9)
@@ -262,8 +266,12 @@ def test_exit_codes(capsys, tmp_path):
     assert _walk_code(capsys, tmp_path, {**triport, "leads": [0, 0, "0"]})[0] == 1
     assert _walk_code(capsys, tmp_path, {**triport, "edges": [[0, 1, 2]]})[0] == 1
     assert _walk_code(capsys, tmp_path, {**triport, "schedule": [1]})[0] == 1
-    # 3: non-convergence
-    assert run_cli(capsys, "unitary", "--max-steps", "8", "--tol", "1e-12")[0] == 3
+    # the long-time matrix is solved, so an encounter limit cannot cut it short
+    payload = run_json(capsys, "unitary", "--max-steps", "8", "--tol", "1e-12")
+    m = np.array([[complex(*v) for v in row] for row in payload["data"]["matrix"]])
+    assert np.abs(m - 1j * (np.full((3, 3), 2 / 3) - np.eye(3))).max() < 1e-12
+    # 3: a residual bound the float solve cannot reach
+    assert run_cli(capsys, "unitary", "--n", "5", "--mode", "float", "--tol", "1e-300")[0] == 3
 
 
 def test_env_var_sets_default_mode(capsys, monkeypatch):
@@ -474,5 +482,92 @@ def test_gate_commands_never_escape(case):
                 os.environ.pop("MULTIPORT_NUMERIC_MODE", None)
             else:
                 os.environ["MULTIPORT_NUMERIC_MODE"] = saved
+    assert code in {0, 1, 2, 3, 4}
+    assert (code == 0) == bool(out.getvalue())
+
+
+_DEVICE_OPTIONS = {
+    "--mode": ["exact", "float", "x"],
+    "--format": ["json", "csv", "xml"],
+    "--n": ["3", "4", "8", "2", "-1", "x", "3.5"],
+    "--r": ["0.6i", "i", "inf", "x", "1@0.3"],
+    "--t": ["0.8", "0", "nan", "x"],
+    "--mirror-phase": ["0", "0.7853981633974483", "0.5", "nan", "x"],
+    "--edge-phase": ["0", "1.5707963267948966", "0,0,0", "1,x", "inf", ""],
+    "--max-steps": ["2", "1", "50", "x", "-3"],
+}
+_COMMAND_OPTIONS = {
+    "unitary": {**_DEVICE_OPTIONS, "--tol": ["1e-12", "1e-300", "0", "-1", "nan", "inf", "x"]},
+    "exits": {**_DEVICE_OPTIONS, "--input": ["A", "C", "Z", "", "ab"],
+              "--steps": ["2", "10", "40", "1", "200", "x"]},
+    "paths": {**_DEVICE_OPTIONS, "--input": ["A", "B", "Z", ""], "--exit": ["A", "C", "7"],
+              "--length": ["1", "4", "9", "12", "0", "-2", "x"]},
+    "family": {"--format": ["json", "csv", "xml"], "--phi": ["0", "1.2", "nan", "inf", "x"],
+               "--phi-a": ["0", "-1.5", "-inf", "x"],
+               "--phi-sweep": ["0:1:3", "0:1:0", "0:inf:2", "a:b", "1:2:x"]},
+    "feasibility": {"--format": ["json", "csv", "xml"],
+                    "--d": ["1e-4", "1", "0", "-1", "1e-320", "inf", "nan", "x"],
+                    "--index": ["1", "1.5", "0.5", "nan", "x"],
+                    "--dt": ["1e-10", "0", "1e-320", "inf", "x"],
+                    "--dnu": ["1e9", "-1", "inf", "x"],
+                    "--td": ["1e-10", "0", "nan", "x"]},
+}
+
+
+def _section(keys, good):
+    return st.one_of(_JUNK, st.fixed_dictionaries(
+        {}, optional={key: st.one_of(st.sampled_from(good), _JUNK) for key in keys}))
+
+
+_CONFIGS = st.one_of(_JUNK, st.fixed_dictionaries({}, optional={
+    "numeric_mode": st.sampled_from(["exact", "float", "x", 3]),
+    "device": _section(("n", "r", "t", "mirror_phase", "edge_phase", "max_steps"),
+                       [3, 4, 0.0, math.pi / 4, "0.6i", [0.0, 0.0, 0.0]]),
+    "feasibility": _section(("d", "refractive_index", "pulse_duration", "spectral_width",
+                             "detector_time"), [1e-4, 1.5, 1e-10, "1e9"]),
+}))
+
+
+@st.composite
+def _device_argv(draw):
+    """(argv, config file text or None) for ``unitary``, ``exits``,
+    ``paths``, ``family`` or ``feasibility``: options drawn with good or
+    junk values, maybe an option without its value or a stray token, and
+    maybe a config file that is missing, malformed, junk, or holds junk in
+    its sections.  Paths are at most 12 encounters long."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    options = _COMMAND_OPTIONS[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=5, unique=True)):
+        argv += [flag, draw(st.sampled_from(options[flag]))]
+    fault = draw(st.sampled_from([None, None, "missing value", "extra token"]))
+    if fault == "missing value":
+        argv.append(draw(st.sampled_from(sorted(options))))
+    elif fault == "extra token":
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "x", "-n"])))
+    text = draw(st.one_of(
+        st.none(), st.just("missing"), st.sampled_from(["{", "", "[]"]),
+        _CONFIGS.map(json.dumps),
+    ))
+    return argv, text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_device_argv())
+def test_device_commands_never_escape(case):
+    """Generated argv and configs for the device, family and feasibility
+    commands map to an exit code; nothing escapes as a traceback, and a
+    failed command prints nothing on stdout."""
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = os.path.join(tmp, "device.json")
+            if text != "missing":
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = argv + ["--config", path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
     assert code in {0, 1, 2, 3, 4}
     assert (code == 0) == bool(out.getvalue())

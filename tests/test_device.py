@@ -6,6 +6,7 @@ independently by brute-force path enumeration before being frozen here.
 """
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multiport import device, exact
+from multiport import cli, device, exact
 from multiport.device import (
     MultiportSpec,
     amplitude_series,
@@ -23,6 +24,7 @@ from multiport.device import (
     enumerate_paths,
     exit_record,
     grover_coin,
+    long_time_matrix,
     steady_state,
     symmetric_unitary,
     triport_unitary,
@@ -713,3 +715,89 @@ def test_enumerate_paths_checks_its_inputs(monkeypatch):
     monkeypatch.setattr(device, "_MAX_PATHS", listed - 1)
     with pytest.raises(SpecError, match=f"{listed} paths"):
         enumerate_paths(spec, 0, 2, 10)
+
+
+# ---------------------------------------------------------------------------
+# long-time matrix on the reachable subspace
+# ---------------------------------------------------------------------------
+
+# reachable dimension of the reference device's 3n internal modes
+REACHABLE_DIM = {3: 7, 4: 8, 5: 13, 6: 14, 7: 19, 8: 20}
+
+
+def test_long_time_matrix_exact_triport_is_closed_form():
+    res = long_time_matrix(exact_spec(n=3))
+    assert res.matrix == triport_unitary("exact")
+    assert (res.method, res.residual, res.unitarity_dev) == ("resolvent", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_long_time_matrix_exact_diagonal_and_unitarity(n):
+    m = long_time_matrix(exact_spec(n=n)).matrix
+    diagonal = exact.I * exact.ExactComplex(F(2 - n, n))
+    assert all(m.entry(i, i) == diagonal for i in range(n))
+    assert m @ m.dagger() == Matrix.identity(n, "exact")
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_reachable_dimensions_of_reference_devices(mode):
+    for n, dim in REACHABLE_DIM.items():
+        res = long_time_matrix(MultiportSpec(n=n, mode=mode))
+        assert (res.reachable_dim, res.trapped_modes) == (dim, 3 * n - dim)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_unitary_command_at_defaults_for_every_port_count(mode, capsys):
+    for n in range(3, 9):
+        assert cli.main(["unitary", "--n", str(n), "--mode", mode]) == 0, capsys.readouterr().err
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert (data["reachable_dim"], data["residual"] < 1e-12) == (REACHABLE_DIM[n], True)
+
+
+def test_float_long_time_matrix_matches_converged_sum():
+    """Seeded identical and heterogeneous devices, n = 3..8, wherever the
+    truncated sum converges."""
+    rng = random.Random(77)
+    compared = 0
+    for trial in range(120):
+        n = 3 + trial % 6
+        if trial % 2:
+            spec = _heterogeneous_spec(rng, "float", n, 20000)
+        else:
+            spec = _random_float_spec(rng, 20000)
+        summed = steady_state(spec, tol=1e-12)
+        if not summed.converged:
+            continue
+        res = long_time_matrix(spec)
+        assert res.matrix.max_abs_dev(summed.matrix) < 1e-10, spec
+        assert res.unitarity_dev < 1e-12
+        assert res.residual < 1e-12
+        compared += 1
+    assert compared >= 100
+
+
+def test_exact_long_time_matrix_matches_float():
+    """Seeded devices with phases on the pi/4 grid, solved in both modes."""
+    rng = random.Random(31)
+    for n in range(3, 9):
+        for _ in range(2):
+            spec = _heterogeneous_spec(rng, "exact", n, 100)
+            exact_res = long_time_matrix(spec)
+            float_spec = MultiportSpec(
+                n=n,
+                r=[complex(v) for v in spec.r],
+                t=[complex(v) for v in spec.t],
+                mirror_factor=[complex(v) for v in spec.mirror_factor],
+                edge_phases=spec.edge_phases,
+            )
+            float_res = long_time_matrix(float_spec)
+            assert exact_res.matrix.max_abs_dev(float_res.matrix) < 1e-12
+            assert exact_res.reachable_dim == float_res.reachable_dim
+
+
+def test_long_time_matrix_bounds_its_residual():
+    with pytest.raises(ConvergenceError):
+        long_time_matrix(MultiportSpec(n=5), tol=1e-300)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(SpecError):
+            long_time_matrix(MultiportSpec(n=3), tol=tol)
