@@ -141,6 +141,14 @@ def _read(convert, value, what):
         raise ConfigError(f"bad {what}: {value!r}") from err
 
 
+def _read_int(value, what):
+    """An integer flag or config value.  ``int()`` would truncate a float,
+    so a non-integral or non-finite one is a config error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"bad {what}: {value!r}")
+    return _read(int, value, what)
+
+
 def _phase_list(value):
     """One phase, or a list of phases, as floats: from a flag ('0.5' or
     '0,0.5,1') or a config value (a number or a list)."""
@@ -167,9 +175,9 @@ def device_spec(args, cfg) -> device.MultiportSpec:
     )
     max_steps = args.max_steps if args.max_steps is not None else dcfg.get("max_steps")
 
-    kwargs = {"n": _read(int, n, "port count"), "mode": mode}
+    kwargs = {"n": _read_int(n, "port count"), "mode": mode}
     if max_steps is not None:
-        kwargs["max_steps"] = _read(int, max_steps, "max_steps")
+        kwargs["max_steps"] = _read_int(max_steps, "max_steps")
     if r is not None or t is not None:
         if mode == "exact":
             raise ConfigError("exact mode supports only the default r/t amplitudes")
@@ -418,9 +426,9 @@ def cmd_cnot(args, cfg):
 def _config_coin(coin, dim, mode) -> Matrix:
     """A named coin ('grover', 'identity') or, in float mode, explicit rows."""
     if coin == "grover":
-        return device.grover_coin(int(dim), mode)
+        return device.grover_coin(_read_int(dim, "coin dimension"), mode)
     if coin == "identity":
-        return Matrix.identity(int(dim), mode)
+        return Matrix.identity(_read_int(dim, "coin dimension"), mode)
     if mode == "exact":
         raise ConfigError("exact mode supports named coins only")
     if not isinstance(coin, list):
@@ -447,7 +455,7 @@ def _graph_from_config(gcfg, mode) -> network.GraphSpec:
                 d = v["multiport"]
                 if not isinstance(d, dict):
                     raise ConfigError(f"multiport entry must be an object, got {d!r}")
-                kwargs = {"n": int(d.get("n", 3)), "mode": mode}
+                kwargs = {"n": _read_int(d.get("n", 3), "port count"), "mode": mode}
                 if "mirror_phase" in d:
                     kwargs["mirror_factor"] = _mirror_factor(d["mirror_phase"], mode)
                 if "r" in d or "t" in d:
@@ -621,7 +629,7 @@ def build_parser() -> _Parser:
         description="List every path between two ports with the given number of "
         "beam-splitter encounters. At most 65536 paths are listed; the cap bounds "
         "their count, not the time: in exact mode 43690 paths at length 34 take "
-        "about 7 s.",
+        "about 5 s, 2 s to list and the rest to print.",
     )
     common(p, True)
     p.add_argument("--input", default="A")

@@ -57,6 +57,12 @@ _UNITARY_TOL = 1e-12
 # 2^(n/2) in the path length n.
 _MAX_PATHS = 1 << 16
 
+# The most ports a multiport may have.  The dense one-step operators hold
+# (4n)^2 complex entries, 16 MiB at this bound, and float ``unitary`` at
+# the defaults takes a few seconds there; a larger n is refused before
+# anything of its size is allocated.
+_MAX_PORTS = 256
+
 
 def _phase_factor(phase: float, mode: str):
     """Unit-modulus traversal factor for a phase given in radians."""
@@ -139,6 +145,8 @@ def compile_spec(spec: MultiportSpec) -> CompiledMultiport:
         raise SpecError(f"unknown numeric mode {spec.mode!r}")
     if spec.n < 3:
         raise SpecError(f"a multiport needs at least 3 ports, got {spec.n}")
+    if spec.n > _MAX_PORTS:
+        raise SpecError(f"a multiport has at most {_MAX_PORTS} ports, got {spec.n}")
     mode = spec.mode
     if mode == "exact":
         default_r, default_t, default_m = (

@@ -6,10 +6,15 @@ multiples of pi/4, rational matrix entries such as 1/3 or 2/9, and the
 sqrt(n!) bosonic normalization factors for up to four photons in one
 mode (sqrt6 = sqrt2 * sqrt3 covers 3! and 4!).
 
-A scalar is stored as eight Fractions: the real and imaginary parts are
-each combinations  a + b*sqrt2 + c*sqrt3 + d*sqrt6.  Addition,
-multiplication, conjugation and division are closed and exact, so
-conservation laws can be asserted with ``==`` instead of tolerances.
+The real and imaginary parts are each combinations
+a + b*sqrt2 + c*sqrt3 + d*sqrt6.  A scalar is stored as eight integer
+numerators, re (1, sqrt2, sqrt3, sqrt6) then im (1, sqrt2, sqrt3, sqrt6),
+over one positive integer denominator.  The form is canonical: the gcd of
+all nine integers is 1 and zero is all-zero over 1, so ``==`` and
+``hash`` compare plain tuples.  Addition, multiplication, conjugation and
+division are closed and exact, so conservation laws can be asserted with
+``==`` instead of tolerances.  Fractions appear only at the boundary: the
+constructor and the coefficient properties.
 
 Mixing exact scalars with floats or complex numbers is intentionally a
 TypeError: it would silently destroy exactness.  Plain ints and
@@ -20,32 +25,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 from .errors import CapacityError
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_SQRT2_F = math.sqrt(2.0)
+_SQRT3_F = math.sqrt(3.0)
+_SQRT6_F = math.sqrt(6.0)
 
-# Quadruple basis for each real/imaginary part: (1, sqrt2, sqrt3, sqrt6).
-_BASIS_FLOAT = (1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0))
-
-# Basis index i maps to sqrt(2)^e2 * sqrt(3)^e3.
-_EXP = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-_IDX = {v: k for k, v in _EXP.items()}
-
-# _MUL[i][j] = (k, m): basis_i * basis_j == m * basis_k with integer m.
-_MUL = tuple(
-    tuple(
-        (
-            _IDX[((_EXP[i][0] + _EXP[j][0]) % 2, (_EXP[i][1] + _EXP[j][1]) % 2)],
-            2 ** ((_EXP[i][0] + _EXP[j][0]) // 2) * 3 ** ((_EXP[i][1] + _EXP[j][1]) // 2),
-        )
-        for j in range(4)
-    )
-    for i in range(4)
-)
-
-_QZERO = (_F0, _F0, _F0, _F0)
+_FRACTION_ZERO = Fraction(0)
+_ZERO4 = (0, 0, 0, 0)
+_ZERO7 = (0, 0, 0, 0, 0, 0, 0)
+_ZERO8 = (0, 0, 0, 0, 0, 0, 0, 0)
 
 # Square-free part of an integer -> its basis index.
 _SQUARE_FREE_SLOT = {1: 0, 2: 1, 3: 2, 6: 3}
@@ -56,98 +47,62 @@ def _quad(value) -> tuple:
         if len(value) != 4:
             raise ValueError("quad parts need exactly 4 coefficients")
         return tuple(Fraction(v) for v in value)
-    return (Fraction(value), _F0, _F0, _F0)
+    return (Fraction(value), _FRACTION_ZERO, _FRACTION_ZERO, _FRACTION_ZERO)
 
 
-def _add(a, b):
-    # Fraction addition costs two gcds even when one side is zero.
-    if not b:
-        return a
-    if not a:
-        return b
-    return a + b
+def _make(nums: tuple, den: int) -> "ExactComplex":
+    """Store eight numerators over a positive denominator that are already
+    canonical (gcd of all nine is 1, zero is over 1), without checks."""
+    z = object.__new__(ExactComplex)
+    z._n = nums
+    z._d = den
+    return z
 
 
-def _qadd(x, y):
-    return (_add(x[0], y[0]), _add(x[1], y[1]), _add(x[2], y[2]), _add(x[3], y[3]))
-
-
-def _sub(a, b):
-    if not b:
-        return a
-    if not a:
-        return -b
-    return a - b
-
-
-def _qsub(x, y):
-    return (_sub(x[0], y[0]), _sub(x[1], y[1]), _sub(x[2], y[2]), _sub(x[3], y[3]))
-
-
-def _qneg(x):
-    return (-x[0], -x[1], -x[2], -x[3])
-
-
-def _qmul(x, y):
-    out = [_F0, _F0, _F0, _F0]
-    for i in range(4):
-        xi = x[i]
-        if not xi:
-            continue
-        row = _MUL[i]
-        for j in range(4):
-            yj = y[j]
-            if not yj:
-                continue
-            k, m = row[j]
-            out[k] = _add(out[k], xi * yj * m)
-    return tuple(out)
-
-
-def _qinv(x):
-    # Multiply by the sqrt2- and sqrt3-conjugates to rationalize.
-    s2 = (x[0], -x[1], x[2], -x[3])
-    y = _qmul(x, s2)            # lands in Q(sqrt3): y1 == y3 == 0
-    s3 = (y[0], y[1], -y[2], -y[3])
-    z = _qmul(y, s3)            # rational
-    if z[0] == 0:
-        raise ZeroDivisionError("division by zero exact scalar")
-    n = _qmul(s2, s3)
-    return tuple(c / z[0] for c in n)
-
-
-def _qfloat(x) -> float:
-    return (
-        float(x[0])
-        + float(x[1]) * _BASIS_FLOAT[1]
-        + float(x[2]) * _BASIS_FLOAT[2]
-        + float(x[3]) * _BASIS_FLOAT[3]
+def _reduced(r0, r1, r2, r3, i0, i1, i2, i3, den) -> "ExactComplex":
+    """Canonical scalar from eight numerators over a positive denominator."""
+    g = gcd(r0, r1, r2, r3, i0, i1, i2, i3, den)
+    if g == 1:
+        return _make((r0, r1, r2, r3, i0, i1, i2, i3), den)
+    return _make(
+        (r0 // g, r1 // g, r2 // g, r3 // g, i0 // g, i1 // g, i2 // g, i3 // g),
+        den // g,
     )
+
+
+def _coerce(other):
+    if isinstance(other, ExactComplex):
+        return other
+    if isinstance(other, int):
+        return _make((int(other), 0, 0, 0, 0, 0, 0, 0), 1)
+    if isinstance(other, Fraction):
+        return _make((other.numerator, 0, 0, 0, 0, 0, 0, 0), other.denominator)
+    return None
+
+
+def _fractions(nums, den) -> tuple:
+    return tuple(Fraction(c, den) if c else _FRACTION_ZERO for c in nums)
+
+
+def _real_part(n0, n1, n2, n3, d) -> float:
+    # Int true division is correctly rounded, so n/d is float(Fraction(n, d)).
+    return n0 / d + n1 / d * _SQRT2_F + n2 / d * _SQRT3_F + n3 / d * _SQRT6_F
 
 
 class ExactComplex:
     """Immutable exact complex number in Q(sqrt2, sqrt3, i)."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "_re", _quad(re))
-        object.__setattr__(self, "_im", _quad(im))
+        coeffs = _quad(re) + _quad(im)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        # Each Fraction is in lowest terms, so over their lcm the nine
+        # integers already have gcd 1.
+        self._n = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._d = den
 
     # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def _make(cls, re: tuple, im: tuple = _QZERO) -> "ExactComplex":
-        """Trusted constructor for the kernel's own results.
-
-        ``re`` and ``im`` must already be 4-tuples of Fractions, as every
-        arithmetic result built from two ExactComplex values is; they are
-        stored without re-validation.
-        """
-        z = object.__new__(cls)
-        z._re = re
-        z._im = im
-        return z
 
     @classmethod
     def rational(cls, num, den=1) -> "ExactComplex":
@@ -156,84 +111,152 @@ class ExactComplex:
     @property
     def re_coefficients(self) -> tuple:
         """(rational, sqrt2, sqrt3, sqrt6) Fractions of the real part."""
-        return self._re
+        return _fractions(self._n[:4], self._d)
 
     @property
     def im_coefficients(self) -> tuple:
-        return self._im
+        return _fractions(self._n[4:], self._d)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self._re == _QZERO and self._im == _QZERO
+        return self._n == _ZERO8
 
     def is_real(self) -> bool:
-        return self._im == _QZERO
+        return self._n[4:] == _ZERO4
 
     def is_rational(self) -> bool:
-        return self.is_real() and self._re[1] == self._re[2] == self._re[3] == 0
+        return self._n[1:] == _ZERO7
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not a rational real number")
-        return self._re[0]
+        return Fraction(self._n[0], self._d)
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExactComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return ExactComplex._make(_qadd(self._re, o._re), _qadd(self._im, o._im))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
+        b0, b1, b2, b3, b4, b5, b6, b7 = o._n
+        da = self._d
+        db = o._d
+        if da == db:
+            return _reduced(
+                a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7, da
+            )
+        return _reduced(
+            a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da,
+            a4 * db + b4 * da, a5 * db + b5 * da, a6 * db + b6 * da, a7 * db + b7 * da,
+            da * db,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return ExactComplex._make(_qsub(self._re, o._re), _qsub(self._im, o._im))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
+        b0, b1, b2, b3, b4, b5, b6, b7 = o._n
+        da = self._d
+        db = o._d
+        if da == db:
+            return _reduced(
+                a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, a6 - b6, a7 - b7, da
+            )
+        return _reduced(
+            a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da,
+            a4 * db - b4 * da, a5 * db - b5 * da, a6 * db - b6 * da, a7 * db - b7 * da,
+            da * db,
+        )
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self):
-        return ExactComplex._make(_qneg(self._re), _qneg(self._im))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
+        return _make((-a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7), self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        re = _qsub(_qmul(self._re, o._re), _qmul(self._im, o._im))
-        im = _qadd(_qmul(self._re, o._im), _qmul(self._im, o._re))
-        return ExactComplex._make(re, im)
+        # (re_a + i im_a)(re_b + i im_b) with the Q(sqrt2, sqrt3) table:
+        # sqrt2^2 = 2, sqrt3^2 = 3, sqrt6^2 = 6, sqrt2 sqrt3 = sqrt6,
+        # sqrt2 sqrt6 = 2 sqrt3, sqrt3 sqrt6 = 3 sqrt2.
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
+        b0, b1, b2, b3, b4, b5, b6, b7 = o._n
+        return _reduced(
+            a0 * b0 - a4 * b4 + 2 * (a1 * b1 - a5 * b5)
+            + 3 * (a2 * b2 - a6 * b6) + 6 * (a3 * b3 - a7 * b7),
+            a0 * b1 + a1 * b0 - a4 * b5 - a5 * b4
+            + 3 * (a2 * b3 + a3 * b2 - a6 * b7 - a7 * b6),
+            a0 * b2 + a2 * b0 - a4 * b6 - a6 * b4
+            + 2 * (a1 * b3 + a3 * b1 - a5 * b7 - a7 * b5),
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1 - a4 * b7 - a7 * b4 - a5 * b6 - a6 * b5,
+            a0 * b4 + a4 * b0 + 2 * (a1 * b5 + a5 * b1)
+            + 3 * (a2 * b6 + a6 * b2) + 6 * (a3 * b7 + a7 * b3),
+            a0 * b5 + a1 * b4 + a4 * b1 + a5 * b0
+            + 3 * (a2 * b7 + a3 * b6 + a6 * b3 + a7 * b2),
+            a0 * b6 + a2 * b4 + a4 * b2 + a6 * b0
+            + 2 * (a1 * b7 + a3 * b5 + a5 * b3 + a7 * b1),
+            a0 * b7 + a3 * b4 + a1 * b6 + a2 * b5 + a4 * b3 + a7 * b0 + a5 * b2 + a6 * b1,
+            self._d * o._d,
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactComplex":
-        mod = _qadd(_qmul(self._re, self._re), _qmul(self._im, self._im))
-        q = _qinv(mod)
-        return ExactComplex._make(_qmul(self._re, q), _qmul(_qneg(self._im), q))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
+        # m = |numerators|^2, a real element of Q(sqrt2, sqrt3).
+        m0 = a0 * a0 + a4 * a4 + 2 * (a1 * a1 + a5 * a5) + 3 * (a2 * a2 + a6 * a6) \
+            + 6 * (a3 * a3 + a7 * a7)
+        m1 = 2 * (a0 * a1 + a4 * a5 + 3 * (a2 * a3 + a6 * a7))
+        m2 = 2 * (a0 * a2 + a4 * a6 + 2 * (a1 * a3 + a5 * a7))
+        m3 = 2 * (a0 * a3 + a1 * a2 + a4 * a7 + a5 * a6)
+        # y = m times its sqrt2-conjugate lands in Q(sqrt3); y times its
+        # sqrt3-conjugate is the rational r.  So 1/m = w / r with w the
+        # product of the two conjugates.
+        y0 = m0 * m0 + 3 * m2 * m2 - 2 * m1 * m1 - 6 * m3 * m3
+        y2 = 2 * (m0 * m2 - 2 * m1 * m3)
+        r = y0 * y0 - 3 * y2 * y2
+        if r == 0:
+            raise ZeroDivisionError("division by zero exact scalar")
+        w0 = m0 * y0 - 3 * m2 * y2
+        w1 = 3 * m3 * y2 - m1 * y0
+        w2 = m2 * y0 - m0 * y2
+        w3 = m1 * y2 - m3 * y0
+        # 1/z = d conj(numerators) w / r.
+        d = self._d
+        if r < 0:
+            r = -r
+            d = -d
+        return _reduced(
+            d * (a0 * w0 + 2 * a1 * w1 + 3 * a2 * w2 + 6 * a3 * w3),
+            d * (a0 * w1 + a1 * w0 + 3 * (a2 * w3 + a3 * w2)),
+            d * (a0 * w2 + a2 * w0 + 2 * (a1 * w3 + a3 * w1)),
+            d * (a0 * w3 + a3 * w0 + a1 * w2 + a2 * w1),
+            -d * (a4 * w0 + 2 * a5 * w1 + 3 * a6 * w2 + 6 * a7 * w3),
+            -d * (a4 * w1 + a5 * w0 + 3 * (a6 * w3 + a7 * w2)),
+            -d * (a4 * w2 + a6 * w0 + 2 * (a5 * w3 + a7 * w1)),
+            -d * (a4 * w3 + a7 * w0 + a5 * w2 + a6 * w1),
+            r,
+        )
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -252,35 +275,48 @@ class ExactComplex:
         return out
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex._make(self._re, _qneg(self._im))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
+        return _make((a0, a1, a2, a3, -a4, -a5, -a6, -a7), self._d)
 
     def abs_sq(self) -> "ExactComplex":
         """|z|^2 as an exact (real) scalar."""
-        return ExactComplex._make(_qadd(_qmul(self._re, self._re), _qmul(self._im, self._im)))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
+        return _reduced(
+            a0 * a0 + a4 * a4 + 2 * (a1 * a1 + a5 * a5) + 3 * (a2 * a2 + a6 * a6)
+            + 6 * (a3 * a3 + a7 * a7),
+            2 * (a0 * a1 + a4 * a5 + 3 * (a2 * a3 + a6 * a7)),
+            2 * (a0 * a2 + a4 * a6 + 2 * (a1 * a3 + a5 * a7)),
+            2 * (a0 * a3 + a1 * a2 + a4 * a7 + a5 * a6),
+            0, 0, 0, 0,
+            self._d * self._d,
+        )
 
     # -- conversions and comparison ---------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(_qfloat(self._re), _qfloat(self._im))
+        n = self._n
+        d = self._d
+        return complex(_real_part(n[0], n[1], n[2], n[3], d), _real_part(n[4], n[5], n[6], n[7], d))
 
     def __float__(self) -> float:
         if not self.is_real():
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return _qfloat(self._re)
+        n = self._n
+        return _real_part(n[0], n[1], n[2], n[3], self._d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self._re == o._re and self._im == o._im
+        return self._n == o._n and self._d == o._d
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self._re[0])
-        return hash((self._re, self._im))
+        if self._n[1:] == _ZERO7:
+            return hash(Fraction(self._n[0], self._d))
+        return hash((self._n, self._d))
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._n != _ZERO8
 
     # -- rendering ---------------------------------------------------------
 
@@ -300,8 +336,8 @@ class ExactComplex:
         return " ".join(pieces) if pieces else "0"
 
     def __str__(self):
-        re_s = self._part_str(self._re)
-        im_s = self._part_str(self._im)
+        re_s = self._part_str(self.re_coefficients)
+        im_s = self._part_str(self.im_coefficients)
         if im_s == "0":
             return re_s
         if re_s == "0":
@@ -315,10 +351,10 @@ class ExactComplex:
 ZERO = ExactComplex(0)
 ONE = ExactComplex(1)
 I = ExactComplex(0, 1)
-SQRT2 = ExactComplex((0, _F1, _F0, _F0))
-SQRT3 = ExactComplex((0, _F0, _F1, _F0))
-SQRT6 = ExactComplex((0, _F0, _F0, _F1))
-INV_SQRT2 = ExactComplex((0, Fraction(1, 2), _F0, _F0))
+SQRT2 = ExactComplex((0, 1, 0, 0))
+SQRT3 = ExactComplex((0, 0, 1, 0))
+SQRT6 = ExactComplex((0, 0, 0, 1))
+INV_SQRT2 = ExactComplex((0, Fraction(1, 2), 0, 0))
 
 # e^{i k pi/4} for k = 0..7; the unit-modulus phases exact mode supports.
 EIGHTH_ROOTS = (
@@ -360,9 +396,9 @@ def exact_sqrt_int(m: int) -> ExactComplex:
     slot = _SQUARE_FREE_SLOT.get(rest)
     if slot is None:
         raise CapacityError(f"sqrt({m}) is outside the exact field")
-    re = [_F0, _F0, _F0, _F0]
-    re[slot] = Fraction(square)
-    return ExactComplex._make(tuple(re))
+    nums = [0] * 8
+    nums[slot] = square
+    return _make(tuple(nums), 1)
 
 
 def sqrt_int(m: int, mode: str):

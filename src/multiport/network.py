@@ -331,8 +331,8 @@ class WalkEngine:
     def _gather_exact(self, W: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``(W * x[S]).sum(axis=1)`` over the nonzero terms only.
 
-        An ExactComplex product is up to 64 Fraction products, and most of
-        a sparse walk state and every padding weight are zero."""
+        An ExactComplex product is 64 integer products and one gcd, and
+        most of a sparse walk state and every padding weight are zero."""
         S = self._S
         rows, cols = np.nonzero(W.astype(bool) & x.astype(bool)[S])
         out = np.full(S.shape[0], exact.ZERO, dtype=object)

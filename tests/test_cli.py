@@ -238,6 +238,9 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, "paths", "--input", "Z", "--exit", "A", "--length", "4")[0] == 2
     assert run_cli(capsys, "paths", "--length", "0")[0] == 2
     assert run_cli(capsys, "paths", "--length", "-3")[0] == 2
+    # more ports than the bound, refused before any operator is allocated
+    assert run_cli(capsys, "exits", "--n", str(10 ** 12))[0] == 2
+    assert run_cli(capsys, "unitary", "--n", "257", "--mode", "exact")[0] == 2
     # more paths than are listed, counted before any is built
     too_many = ("paths", "--input", "A", "--exit", "A", "--length", "60", "--max-steps", "200")
     assert run_cli(capsys, *too_many)[0] == 2
@@ -262,6 +265,22 @@ def test_exit_codes(capsys, tmp_path):
     assert _walk_code(capsys, tmp_path, {**grover, "schedule": custom}, "exact")[0] == 1
     named = {"2": {"0": {"coin": "identity", "dim": 3}}}
     assert _walk_code(capsys, tmp_path, {**grover, "schedule": named}, "exact")[0] == 0
+    # 1: a port count, encounter limit or coin dimension that is not an integer
+    device_cfg = tmp_path / "device.json"
+    for dev in ({"n": 3.7}, {"n": math.inf}, {"n": "3.5"}, {"max_steps": 50.5},
+                {"max_steps": math.nan}):
+        device_cfg.write_text(json.dumps({"device": dev}))
+        assert run_cli(capsys, "unitary", "--config", str(device_cfg))[0] == 1
+    assert _walk_code(capsys, tmp_path, {**triport, "vertices": [{"multiport": {"n": 3.7}}]})[0] == 1
+    assert _walk_code(capsys, tmp_path, {**grover, "vertices": [{"coin": "grover", "dim": 2.5}]})[0] == 1
+    assert _walk_code(capsys, tmp_path, {**grover, "vertices": [{"coin": "grover", "dim": math.inf}]})[0] == 1
+    # integral values keep working, and a huge one meets the port bound
+    device_cfg.write_text(json.dumps({"device": {"n": 4.0, "max_steps": 50.0}}))
+    payload = run_json(capsys, "unitary", "--config", str(device_cfg))
+    assert len(payload["data"]["matrix"]) == 4
+    device_cfg.write_text(json.dumps({"device": {"n": 1e300}}))
+    assert run_cli(capsys, "unitary", "--config", str(device_cfg))[0] == 2
+    assert _walk_code(capsys, tmp_path, {**triport, "vertices": [{"multiport": {"n": 3.0}}]})[0] == 0
     # 1: the config names vertices by something other than an integer
     assert _walk_code(capsys, tmp_path, {**triport, "leads": [0, 0, "0"]})[0] == 1
     assert _walk_code(capsys, tmp_path, {**triport, "edges": [[0, 1, 2]]})[0] == 1
@@ -522,7 +541,8 @@ def _section(keys, good):
 _CONFIGS = st.one_of(_JUNK, st.fixed_dictionaries({}, optional={
     "numeric_mode": st.sampled_from(["exact", "float", "x", 3]),
     "device": _section(("n", "r", "t", "mirror_phase", "edge_phase", "max_steps"),
-                       [3, 4, 0.0, math.pi / 4, "0.6i", [0.0, 0.0, 0.0]]),
+                       [3, 4, 0.0, 4.0, 3.7, math.inf, 1e300, math.pi / 4, "0.6i",
+                        [0.0, 0.0, 0.0]]),
     "feasibility": _section(("d", "refractive_index", "pulse_duration", "spectral_width",
                              "detector_time"), [1e-4, 1.5, 1e-10, "1e9"]),
 }))

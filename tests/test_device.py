@@ -67,6 +67,11 @@ def test_compile_structure_counts():
 def test_compile_rejects_small_and_nonunitary():
     with pytest.raises(SpecError):
         compile_spec(MultiportSpec(n=2))
+    # the port bound holds before anything of size n is built
+    assert compile_spec(MultiportSpec(n=device._MAX_PORTS)).n == device._MAX_PORTS
+    for n in (device._MAX_PORTS + 1, 10 ** 12):
+        with pytest.raises(SpecError, match="at most"):
+            compile_spec(MultiportSpec(n=n))
     with pytest.raises(SpecError):
         compile_spec(MultiportSpec(n=3, r=0.5 + 0j, t=0.5 + 0j))
     with pytest.raises(SpecError):

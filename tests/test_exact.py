@@ -136,3 +136,213 @@ def test_kernel_results_are_canonical(a, b, k):
                 assert r == int(q) and hash(r) == hash(int(q))
     if b:
         assert a * b.inverse() * b == a
+
+
+# -- Fraction-quad reference kernel ---------------------------------------
+#
+# The kernel ExactComplex used before it held integer numerators over one
+# shared denominator: each scalar is a pair (re, im) of 4-tuples of
+# Fractions over the basis (1, sqrt2, sqrt3, sqrt6).  The integer kernel
+# must agree with it on every operation and conversion.
+
+_REF_EXP = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
+_REF_IDX = {v: k for k, v in _REF_EXP.items()}
+# _REF_MUL[i][j] = (k, m): basis_i * basis_j == m * basis_k.
+_REF_MUL = tuple(
+    tuple(
+        (
+            _REF_IDX[((_REF_EXP[i][0] + _REF_EXP[j][0]) % 2,
+                      (_REF_EXP[i][1] + _REF_EXP[j][1]) % 2)],
+            2 ** ((_REF_EXP[i][0] + _REF_EXP[j][0]) // 2)
+            * 3 ** ((_REF_EXP[i][1] + _REF_EXP[j][1]) // 2),
+        )
+        for j in range(4)
+    )
+    for i in range(4)
+)
+_REF_BASIS = (1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0))
+_QZERO = (Fraction(0),) * 4
+
+
+def _qadd(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _qsub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def _qneg(x):
+    return tuple(-a for a in x)
+
+
+def _qmul(x, y):
+    out = [Fraction(0)] * 4
+    for i in range(4):
+        for j in range(4):
+            k, m = _REF_MUL[i][j]
+            out[k] += x[i] * y[j] * m
+    return tuple(out)
+
+
+def _qinv(x):
+    s2 = (x[0], -x[1], x[2], -x[3])
+    y = _qmul(x, s2)
+    s3 = (y[0], y[1], -y[2], -y[3])
+    z = _qmul(y, s3)
+    if z[0] == 0:
+        raise ZeroDivisionError("division by zero exact scalar")
+    return tuple(c / z[0] for c in _qmul(s2, s3))
+
+
+def _qfloat(x):
+    return (
+        float(x[0]) + float(x[1]) * _REF_BASIS[1]
+        + float(x[2]) * _REF_BASIS[2] + float(x[3]) * _REF_BASIS[3]
+    )
+
+
+def _ref(value):
+    """(re, im) Fraction quads of an ExactComplex, int or Fraction."""
+    if isinstance(value, ExactComplex):
+        return value.re_coefficients, value.im_coefficients
+    return (Fraction(value), *_QZERO[1:]), _QZERO
+
+
+def _ref_mul(x, y):
+    return (_qsub(_qmul(x[0], y[0]), _qmul(x[1], y[1])),
+            _qadd(_qmul(x[0], y[1]), _qmul(x[1], y[0])))
+
+
+def _ref_abs_sq(x):
+    return _qadd(_qmul(x[0], x[0]), _qmul(x[1], x[1])), _QZERO
+
+
+def _ref_inverse(x):
+    q = _qinv(_ref_abs_sq(x)[0])
+    return _qmul(x[0], q), _qmul(_qneg(x[1]), q)
+
+
+def _ref_pow(x, k):
+    out = ((Fraction(1), *_QZERO[1:]), _QZERO)
+    for _ in range(k):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _ref_part_str(quad):
+    pieces = []
+    for coeff, name in zip(quad, ("", "*sqrt2", "*sqrt3", "*sqrt6")):
+        if not coeff:
+            continue
+        if not pieces:
+            pieces.append(f"{coeff}{name}")
+        elif coeff > 0:
+            pieces.append(f"+ {coeff}{name}")
+        else:
+            pieces.append(f"- {-coeff}{name}")
+    return " ".join(pieces) if pieces else "0"
+
+
+def _ref_str(x):
+    re_s, im_s = _ref_part_str(x[0]), _ref_part_str(x[1])
+    if im_s == "0":
+        return re_s
+    if re_s == "0":
+        return f"({im_s})*i"
+    return f"({re_s}) + ({im_s})*i"
+
+
+def _bits(value: float) -> str:
+    return value.hex()
+
+
+def _assert_matches_reference(z, ref):
+    re, im = ref
+    assert z.re_coefficients == re and z.im_coefficients == im
+    assert all(type(c) is Fraction for c in z.re_coefficients + z.im_coefficients)
+    rebuilt = ExactComplex(re, im)
+    assert z == rebuilt and hash(z) == hash(rebuilt)
+    c = complex(z)
+    assert (_bits(c.real), _bits(c.imag)) == (_bits(_qfloat(re)), _bits(_qfloat(im)))
+    assert str(z) == _ref_str(ref)
+    assert repr(z) == f"ExactComplex({_ref_str(ref)})"
+    assert z.is_zero() == (re == _QZERO and im == _QZERO) == (not z)
+    assert z.is_real() == (im == _QZERO)
+    rational = im == _QZERO and re[1:] == _QZERO[1:]
+    assert z.is_rational() == rational
+    if im == _QZERO:
+        assert _bits(float(z)) == _bits(_qfloat(re))
+    else:
+        with pytest.raises(ValueError):
+            float(z)
+    if rational:
+        assert z.as_fraction() == re[0]
+        assert z == re[0] and hash(z) == hash(re[0])
+        if re[0].denominator == 1:
+            assert z == int(re[0]) and hash(z) == hash(int(re[0]))
+    else:
+        with pytest.raises(ValueError):
+            z.as_fraction()
+
+
+_BIG = st.integers(-(10 ** 30), 10 ** 30)
+_BIG_FRACTIONS = st.builds(Fraction, _BIG, st.integers(1, 10 ** 20))
+_COEFFS = st.one_of(_FRACTIONS, st.integers(-5, 5), _BIG_FRACTIONS)
+_MIXED_QUADS = st.tuples(_COEFFS, _COEFFS, _COEFFS, _COEFFS)
+# Rational, sqrt2-only, mixed and large scalars, plus plain int and
+# Fraction operands.
+_PARITY_SCALARS = st.one_of(
+    st.builds(ExactComplex, _COEFFS),
+    st.builds(lambda a, b: ExactComplex((0, a, 0, 0), (0, b, 0, 0)), _COEFFS, _COEFFS),
+    st.builds(ExactComplex, _MIXED_QUADS, _MIXED_QUADS),
+    st.builds(ExactComplex, _MIXED_QUADS),
+    st.just(exact.ZERO),
+)
+_OPERANDS = st.one_of(_PARITY_SCALARS, st.integers(-5, 5), _FRACTIONS, _BIG_FRACTIONS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_PARITY_SCALARS, b=_OPERANDS, k=st.integers(0, 4))
+def test_kernel_matches_fraction_reference(a, b, k):
+    ra, rb = _ref(a), _ref(b)
+    _assert_matches_reference(a, ra)
+    b_zero = not b
+    cases = [
+        (a + b, (_qadd(ra[0], rb[0]), _qadd(ra[1], rb[1]))),
+        (b + a, (_qadd(ra[0], rb[0]), _qadd(ra[1], rb[1]))),
+        (a - b, (_qsub(ra[0], rb[0]), _qsub(ra[1], rb[1]))),
+        (b - a, (_qsub(rb[0], ra[0]), _qsub(rb[1], ra[1]))),
+        (a * b, _ref_mul(ra, rb)),
+        (b * a, _ref_mul(ra, rb)),
+        (-a, (_qneg(ra[0]), _qneg(ra[1]))),
+        (a.conjugate(), (ra[0], _qneg(ra[1]))),
+        (a.abs_sq(), _ref_abs_sq(ra)),
+        (a ** k, _ref_pow(ra, k)),
+    ]
+    if not b_zero:
+        cases.append((a / b, _ref_mul(ra, _ref_inverse(rb))))
+    if a:
+        cases.append((a.inverse(), _ref_inverse(ra)))
+        cases.append((b / a, _ref_mul(rb, _ref_inverse(ra))))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        with pytest.raises(ZeroDivisionError):
+            _ref_inverse(ra)
+        with pytest.raises(ZeroDivisionError):
+            b / a
+    if b_zero:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    for z, ref in cases:
+        _assert_matches_reference(z, ref)
+    # Equality between kernel values follows equality of the references.
+    assert (a == b) == (ra == rb) == (b == a)
+    for junk in (0.5, 1j, 2.0):
+        for op in (
+            lambda: a + junk, lambda: junk + a, lambda: a - junk, lambda: junk - a,
+            lambda: a * junk, lambda: junk * a, lambda: a / junk, lambda: junk / a,
+        ):
+            with pytest.raises(TypeError):
+                op()
