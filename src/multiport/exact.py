@@ -159,19 +159,7 @@ class ExactComplex:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2, a3, a4, a5, a6, a7 = self._n
-        b0, b1, b2, b3, b4, b5, b6, b7 = o._n
-        da = self._d
-        db = o._d
-        if da == db:
-            return _reduced(
-                a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, a6 - b6, a7 - b7, da
-            )
-        return _reduced(
-            a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da,
-            a4 * db - b4 * da, a5 * db - b5 * da, a6 * db - b6 * da, a7 * db - b7 * da,
-            da * db,
-        )
+        return self + -o
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -215,8 +203,10 @@ class ExactComplex:
     def inverse(self) -> "ExactComplex":
         a0, a1, a2, a3, a4, a5, a6, a7 = self._n
         # m = |numerators|^2, a real element of Q(sqrt2, sqrt3).
-        m0 = a0 * a0 + a4 * a4 + 2 * (a1 * a1 + a5 * a5) + 3 * (a2 * a2 + a6 * a6) \
+        m0 = (
+            a0 * a0 + a4 * a4 + 2 * (a1 * a1 + a5 * a5) + 3 * (a2 * a2 + a6 * a6)
             + 6 * (a3 * a3 + a7 * a7)
+        )
         m1 = 2 * (a0 * a1 + a4 * a5 + 3 * (a2 * a3 + a6 * a7))
         m2 = 2 * (a0 * a2 + a4 * a6 + 2 * (a1 * a3 + a5 * a7))
         m3 = 2 * (a0 * a3 + a1 * a2 + a4 * a7 + a5 * a6)
@@ -296,7 +286,9 @@ class ExactComplex:
     def __complex__(self) -> complex:
         n = self._n
         d = self._d
-        return complex(_real_part(n[0], n[1], n[2], n[3], d), _real_part(n[4], n[5], n[6], n[7], d))
+        return complex(
+            _real_part(n[0], n[1], n[2], n[3], d), _real_part(n[4], n[5], n[6], n[7], d)
+        )
 
     def __float__(self) -> float:
         if not self.is_real():

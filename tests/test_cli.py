@@ -271,16 +271,17 @@ def test_exit_codes(capsys, tmp_path):
                 {"max_steps": math.nan}):
         device_cfg.write_text(json.dumps({"device": dev}))
         assert run_cli(capsys, "unitary", "--config", str(device_cfg))[0] == 1
-    assert _walk_code(capsys, tmp_path, {**triport, "vertices": [{"multiport": {"n": 3.7}}]})[0] == 1
-    assert _walk_code(capsys, tmp_path, {**grover, "vertices": [{"coin": "grover", "dim": 2.5}]})[0] == 1
-    assert _walk_code(capsys, tmp_path, {**grover, "vertices": [{"coin": "grover", "dim": math.inf}]})[0] == 1
+    for vertex in ({"multiport": {"n": 3.7}}, {"coin": "grover", "dim": 2.5},
+                   {"coin": "grover", "dim": math.inf}):
+        assert _walk_code(capsys, tmp_path, {**triport, "vertices": [vertex]})[0] == 1
     # integral values keep working, and a huge one meets the port bound
     device_cfg.write_text(json.dumps({"device": {"n": 4.0, "max_steps": 50.0}}))
     payload = run_json(capsys, "unitary", "--config", str(device_cfg))
     assert len(payload["data"]["matrix"]) == 4
     device_cfg.write_text(json.dumps({"device": {"n": 1e300}}))
     assert run_cli(capsys, "unitary", "--config", str(device_cfg))[0] == 2
-    assert _walk_code(capsys, tmp_path, {**triport, "vertices": [{"multiport": {"n": 3.0}}]})[0] == 0
+    three = {"multiport": {"n": 3.0}}
+    assert _walk_code(capsys, tmp_path, {**triport, "vertices": [three]})[0] == 0
     # 1: the config names vertices by something other than an integer
     assert _walk_code(capsys, tmp_path, {**triport, "leads": [0, 0, "0"]})[0] == 1
     assert _walk_code(capsys, tmp_path, {**triport, "edges": [[0, 1, 2]]})[0] == 1
