@@ -102,12 +102,11 @@ def bell_state(label: BellLabel, n_ports: int = 3, mode: str = "exact") -> Multi
     else:
         first = {(p, H): 1, (q, H): 1}
         second = {(p, V): 1, (q, V): 1}
-    inv = exact.INV_SQRT2 if mode == "exact" else complex(2 ** -0.5)
-    sgn = exact.scalar_one(mode) if label.sign > 0 else -exact.scalar_one(mode)
+    F = exact.field(mode)
     return MultiPhotonState(
         {
-            occupation_key(first): inv,
-            occupation_key(second): inv * sgn,
+            occupation_key(first): F.inv_sqrt2,
+            occupation_key(second): F.inv_sqrt2 * (F.one if label.sign > 0 else -F.one),
         },
         n_ports,
         mode,
@@ -138,10 +137,10 @@ def classify_bell(
     p, q = sorted(pair)
     if p < 0 or q >= state.n_ports:
         raise SpecError(f"pair {pair} outside ports 0..{state.n_ports - 1}")
-    zero = exact.scalar_zero(state.mode)
+    F = exact.field(state.mode)
 
     def amp(pol_p, pol_q):
-        return state.terms.get(occupation_key({(p, pol_p): 1, (q, pol_q): 1}), zero)
+        return state.terms.get(occupation_key({(p, pol_p): 1, (q, pol_q): 1}), F.zero)
 
     amplitudes = {"Psi": (amp(H, V), amp(V, H)), "Phi": (amp(H, H), amp(V, V))}
     best = None
@@ -157,8 +156,7 @@ def classify_bell(
     frac, label, ov = best
     if frac < 1.0 - tol:
         return BellClassification(None, None, overlaps)
-    inv = exact.INV_SQRT2 if state.mode == "exact" else complex(2 ** -0.5)
-    phase = complex(ov * inv)
+    phase = complex(ov * F.inv_sqrt2)
     phase = phase / abs(phase)
     return BellClassification(label, phase, overlaps)
 
@@ -239,11 +237,7 @@ def _gate_unitary(unitary: Optional[Matrix], mode: Optional[str]) -> Matrix:
         return triport_unitary(mode or "exact")
     if mode is not None and mode != unitary.mode:
         raise SpecError("mode disagrees with the supplied unitary")
-    if unitary.mode == "exact":
-        unitary_ok = unitary @ unitary.dagger() == Matrix.identity(unitary.dim, "exact")
-    else:
-        unitary_ok = unitary.is_unitary(1e-12)
-    if not unitary_ok:
+    if not unitary.is_unitary():
         raise SpecError("the gate matrix is not unitary")
     return unitary
 
@@ -274,8 +268,7 @@ def _herald(
     else:
         two_h, two_v = branches[2, 0], branches[0, 2]
         prob_scalar = two_h.norm_sq() + two_v.norm_sq()
-        inv = exact.INV_SQRT2 if mode == "exact" else complex(2 ** -0.5)
-        heralded = (two_h + two_v).scaled(inv)
+        heralded = (two_h + two_v).scaled(exact.field(mode).inv_sqrt2)
     probability = float(prob_scalar)
     label = phase = None
     if not heralded.is_zero():

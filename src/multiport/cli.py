@@ -4,7 +4,8 @@ Data goes to stdout, diagnostics to stderr.  Output is byte-stable for
 identical configuration: no timestamps, sorted keys, metadata separated
 from the data payload under a versioned schema.  Exit codes: 1 config
 parse error, 2 invalid device/graph spec, 3 non-convergence, 4 internal
-invariant violation.
+invariant violation, 141 (128 + SIGPIPE) stdout closed before all of the
+output was written, as when a long output is piped into ``head -1``.
 """
 
 from __future__ import annotations
@@ -67,34 +68,28 @@ def parse_complex(text) -> complex:
         raise ConfigError(f"bad complex value {text!r}") from err
 
 
+# JSON names of an exact scalar part's (rational, sqrt2, sqrt3, sqrt6) coefficients.
+_NAMES = ("rational", "sqrt2", "sqrt3", "sqrt6")
+
+
 def _frac_pair(f: Fraction):
     return [f.numerator, f.denominator]
 
 
 def encode_real(value, mode: str):
     if mode == "exact":
-        out = {}
-        names = ("rational", "sqrt2", "sqrt3", "sqrt6")
-        coeffs = value.re_coefficients if isinstance(value, exact.ExactComplex) else (
-            Fraction(value), Fraction(0), Fraction(0), Fraction(0)
-        )
-        for name, c in zip(names, coeffs):
-            if c:
-                out[name] = _frac_pair(c)
+        out = {n: _frac_pair(c) for n, c in zip(_NAMES, value.re_coefficients) if c}
         if not out:
             out["rational"] = [0, 1]
-        out["approx"] = complex(value).real if isinstance(
-            value, exact.ExactComplex
-        ) else float(value)
+        out["approx"] = complex(value).real
         return out
     return float(value)
 
 
 def encode_scalar(value, mode: str):
     if mode == "exact":
-        names = ("rational", "sqrt2", "sqrt3", "sqrt6")
-        re = {n: _frac_pair(c) for n, c in zip(names, value.re_coefficients) if c}
-        im = {n: _frac_pair(c) for n, c in zip(names, value.im_coefficients) if c}
+        re = {n: _frac_pair(c) for n, c in zip(_NAMES, value.re_coefficients) if c}
+        im = {n: _frac_pair(c) for n, c in zip(_NAMES, value.im_coefficients) if c}
         z = complex(value)
         return {"re": re, "im": im, "approx": [z.real, z.imag], "text": str(value)}
     z = complex(value)
@@ -103,6 +98,12 @@ def encode_scalar(value, mode: str):
 
 def encode_matrix(m: Matrix):
     return [[encode_scalar(v, m.mode) for v in row] for row in m.rows]
+
+
+def _re_im(value) -> list:
+    """A scalar's real and imaginary parts as CSV cells."""
+    z = complex(value)
+    return [repr(z.real), repr(z.imag)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def device_spec(args, cfg) -> device.MultiportSpec:
 
 
 def _mirror_factor(phase, mode):
-    return device._phase_factor(float(phase), mode)
+    return exact.field(mode).phase(float(phase))
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +229,19 @@ def cmd_exits(args, cfg):
         "rows": rows,
         "conservation_dev": record.conservation_dev,
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "port", "re", "im", "step_probability", "cumulative_probability"])
-        for step in record.steps:
-            for i, a in enumerate(step.amplitudes):
-                z = complex(a)
-                w.writerow(
-                    [
-                        step.n,
-                        port_label(i),
-                        repr(z.real),
-                        repr(z.imag),
-                        repr(float(step.step_probability)),
-                        repr(float(step.cumulative_probability)),
-                    ]
-                )
-        return data, buf.getvalue()
-    return data, None
+    header = ("n", "port", "re", "im", "step_probability", "cumulative_probability")
+    table = (
+        [
+            step.n,
+            port_label(i),
+            *_re_im(a),
+            repr(float(step.step_probability)),
+            repr(float(step.cumulative_probability)),
+        ]
+        for step in record.steps
+        for i, a in enumerate(step.amplitudes)
+    )
+    return data, header, table
 
 
 def cmd_paths(args, cfg):
@@ -254,9 +249,7 @@ def cmd_paths(args, cfg):
     paths = device.enumerate_paths(
         spec, port_index(args.input), port_index(args.exit), args.length
     )
-    total = exact.scalar_zero(spec.mode)
-    for p in paths:
-        total = total + p.amplitude
+    total = sum((p.amplitude for p in paths), exact.field(spec.mode).zero)
     data = {
         "input": args.input.upper(),
         "exit": args.exit.upper(),
@@ -273,15 +266,11 @@ def cmd_paths(args, cfg):
         ],
         "amplitude_sum": encode_scalar(total, spec.mode),
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["symbols", "re", "im", "bs_encounters", "mirror_count"])
-        for p in paths:
-            z = complex(p.amplitude)
-            w.writerow([p.symbol_string, repr(z.real), repr(z.imag), p.bs_encounters, p.mirror_count])
-        return data, buf.getvalue()
-    return data, None
+    header = ("symbols", "re", "im", "bs_encounters", "mirror_count")
+    table = (
+        [p.symbol_string, *_re_im(p.amplitude), p.bs_encounters, p.mirror_count] for p in paths
+    )
+    return data, header, table
 
 
 def cmd_unitary(args, cfg):
@@ -296,16 +285,12 @@ def cmd_unitary(args, cfg):
         "unitarity_dev": result.unitarity_dev,
         "converged": True,
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["row", "col", "re", "im"])
-        for i in range(result.matrix.dim):
-            for j in range(result.matrix.dim):
-                z = complex(result.matrix.entry(i, j))
-                w.writerow([port_label(i), port_label(j), repr(z.real), repr(z.imag)])
-        return data, buf.getvalue()
-    return data, None
+    table = (
+        [port_label(i), port_label(j), *_re_im(a)]
+        for i, row in enumerate(result.matrix.rows)
+        for j, a in enumerate(row)
+    )
+    return data, ("row", "col", "re", "im"), table
 
 
 def cmd_family(args, cfg):
@@ -334,15 +319,8 @@ def cmd_family(args, cfg):
                 "unitarity_dev": m.unitarity_dev(),
             }
         )
-    data = {"rows": rows}
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["phi_a", "phi", "alpha", "beta", "unitarity_dev"])
-        for r in rows:
-            w.writerow([repr(r["phi_a"]), repr(r["phi"]), repr(r["alpha"]), repr(r["beta"]), repr(r["unitarity_dev"])])
-        return data, buf.getvalue()
-    return data, None
+    header = ("phi_a", "phi", "alpha", "beta", "unitarity_dev")
+    return {"rows": rows}, header, ([repr(r[k]) for k in header] for r in rows)
 
 
 def cmd_bell_table(args, cfg):
@@ -360,14 +338,12 @@ def cmd_bell_table(args, cfg):
         for r in table.rows
     ]
     data = {"rows": rows, "input_pair": "AB", "control_pair": "AC", "output_pair": "BC"}
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["input", "control", "out_s", "out_o", "prob_s", "prob_o"])
-        for r in rows:
-            w.writerow([r["input"], r["control"], r["out_s"], r["out_o"], repr(r["prob_s"]), repr(r["prob_o"])])
-        return data, buf.getvalue()
-    return data, None
+    header = ("input", "control", "out_s", "out_o", "prob_s", "prob_o")
+    table = (
+        [r["input"], r["control"], r["out_s"], r["out_o"], repr(r["prob_s"]), repr(r["prob_o"])]
+        for r in rows
+    )
+    return data, header, table
 
 
 def cmd_group_table(args, cfg):
@@ -386,14 +362,8 @@ def cmd_group_table(args, cfg):
             "violations": list(table.axioms.violations),
         },
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow([""] + list(table.elements))
-        for a, row in zip(table.elements, table.as_grid()):
-            w.writerow([a] + row)
-        return data, buf.getvalue()
-    return data, None
+    grid = ([a] + row for a, row in zip(table.elements, table.as_grid()))
+    return data, [""] + list(table.elements), grid
 
 
 def cmd_cnot(args, cfg):
@@ -413,22 +383,20 @@ def cmd_cnot(args, cfg):
             for r in rows
         ],
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["input_bit", "control_bit", "output_bit", "input", "control", "output"])
-        for r in rows:
-            w.writerow([r.input_bit, r.control_bit, r.output_bit, r.input, r.control, r.output])
-        return data, buf.getvalue()
-    return data, None
+    header = ("input_bit", "control_bit", "output_bit", "input", "control", "output")
+    return data, header, ([getattr(r, k) for k in header] for r in rows)
 
 
 def _config_coin(coin, dim, mode) -> Matrix:
-    """A named coin ('grover', 'identity') or, in float mode, explicit rows."""
-    if coin == "grover":
-        return device.grover_coin(_read_int(dim, "coin dimension"), mode)
-    if coin == "identity":
-        return Matrix.identity(_read_int(dim, "coin dimension"), mode)
+    """A named coin ('grover', 'identity') or, in float mode, explicit rows.
+
+    A named coin's ``dim`` is bounded like a multiport's port count, by
+    ``device._MAX_PORTS``, before the coin is built."""
+    if coin in ("grover", "identity"):
+        dim = _read_int(dim, "coin dimension")
+        if dim > device._MAX_PORTS:
+            raise SpecError(f"a coin has at most {device._MAX_PORTS} channels, got {dim}")
+        return device.grover_coin(dim, mode) if coin == "grover" else Matrix.identity(dim, mode)
     if mode == "exact":
         raise ConfigError("exact mode supports named coins only")
     if not isinstance(coin, list):
@@ -541,16 +509,13 @@ def cmd_walk(args, cfg):
         "steps": steps,
         "conservation_dev": result.steps[-1].conservation_dev,
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["step", "lead", "step_re", "step_im", "cumulative_probability"])
-        for s in result.steps:
-            for l in range(engine.lead_count):
-                z = complex(s.lead_step_amplitudes[l])
-                w.writerow([s.index, l, repr(z.real), repr(z.imag), repr(s.lead_cumulative_probability[l])])
-        return data, buf.getvalue()
-    return data, None
+    header = ("step", "lead", "step_re", "step_im", "cumulative_probability")
+    table = (
+        [s.index, l, *_re_im(a), repr(s.lead_cumulative_probability[l])]
+        for s in result.steps
+        for l, a in enumerate(s.lead_step_amplitudes)
+    )
+    return data, header, table
 
 
 def cmd_feasibility(args, cfg):
@@ -585,13 +550,8 @@ def cmd_feasibility(args, cfg):
         "constraints_ok": budget.constraints_ok,
         "violations": list(budget.violations),
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(sorted(k for k in data if k != "violations"))
-        w.writerow([repr(data[k]) if isinstance(data[k], float) else data[k] for k in sorted(data) if k != "violations"])
-        return data, buf.getvalue()
-    return data, None
+    header = sorted(k for k in data if k != "violations")
+    return data, header, ([repr(data[k]) if isinstance(data[k], float) else data[k] for k in header],)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +654,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
         mode = resolve_mode(args, cfg)
-        data, csv_text = args.fn(args, cfg)
+        data, header, table = args.fn(args, cfg)
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(table)
+            text = buf.getvalue()
+        else:
+            payload = {
+                "schema": SCHEMA,
+                "command": args.command,
+                "mode": mode,
+                "data": data,
+            }
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
@@ -707,17 +681,14 @@ def main(argv=None) -> int:
     except InvariantViolation as err:
         print(f"internal invariant violated: {err}", file=sys.stderr)
         return 4
-
-    if args.format == "csv":
-        sys.stdout.write(csv_text)
-        return 0
-    payload = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "mode": mode,
-        "data": data,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # As the Python docs advise for SIGPIPE: send what is left to
+        # devnull, so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     return 0
 
 

@@ -27,7 +27,6 @@ amplitudes vanish at every odd N.
 
 from __future__ import annotations
 
-import cmath
 import collections
 import itertools
 import math
@@ -43,13 +42,11 @@ from .errors import ConvergenceError, InvariantViolation, SpecError
 from .matrices import Matrix
 from .states import port_label
 
-_EXACT_DEFAULT_R = exact.I * exact.INV_SQRT2
-_EXACT_DEFAULT_T = exact.INV_SQRT2
-_EXACT_DEFAULT_MIRROR = -exact.I
-
-_FLOAT_DEFAULT_R = 1j / math.sqrt(2.0)
-_FLOAT_DEFAULT_T = 1.0 / math.sqrt(2.0) + 0j
-_FLOAT_DEFAULT_MIRROR = -1j
+# The reference device's (r, t, mirror round-trip factor) per numeric mode.
+_REFERENCE = {
+    "exact": (exact.I * exact.INV_SQRT2, exact.INV_SQRT2, -exact.I),
+    "float": (1j / math.sqrt(2.0), 1.0 / math.sqrt(2.0) + 0j, -1j),
+}
 
 _UNITARY_TOL = 1e-12
 
@@ -64,27 +61,16 @@ _MAX_PATHS = 1 << 16
 _MAX_PORTS = 256
 
 
-def _phase_factor(phase: float, mode: str):
-    """Unit-modulus traversal factor for a phase given in radians."""
-    if not math.isfinite(phase):
-        raise SpecError(f"phase must be finite, got {phase!r}")
-    if mode == "float":
-        return cmath.exp(1j * phase)
-    k = phase / (math.pi / 4.0)
-    rounded = round(k)
-    if abs(k - rounded) > 1e-12:
-        raise SpecError(
-            "exact mode supports phases that are multiples of pi/4"
-        )
-    return exact.eighth_root(rounded)
-
-
-def _broadcast(value, n, name):
+def _broadcast(value, default, n, name, scalar):
+    """One ``scalar(v)`` per vertex from ``value``, one value or a list,
+    or from ``default`` when ``value`` is None."""
+    if value is None:
+        value = default
     if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise SpecError(f"{name} needs exactly {n} per-vertex entries")
-        return tuple(value)
-    return tuple([value] * n)
+        return tuple(map(scalar, value))
+    return (scalar(value),) * n
 
 
 @dataclass
@@ -105,9 +91,6 @@ class MultiportSpec:
     edge_phases: object = 0.0
     max_steps: int = 100
     mode: str = "float"
-
-    def resolved(self) -> "CompiledMultiport":
-        return compile_spec(self)
 
 
 @dataclass(frozen=True)
@@ -141,39 +124,15 @@ class CompiledMultiport:
 
 def compile_spec(spec: MultiportSpec) -> CompiledMultiport:
     """Validate a spec and expand it into per-vertex/per-edge scalars."""
-    if spec.mode not in ("exact", "float"):
-        raise SpecError(f"unknown numeric mode {spec.mode!r}")
+    F = exact.field(spec.mode)
     if spec.n < 3:
         raise SpecError(f"a multiport needs at least 3 ports, got {spec.n}")
     if spec.n > _MAX_PORTS:
         raise SpecError(f"a multiport has at most {_MAX_PORTS} ports, got {spec.n}")
-    mode = spec.mode
-    if mode == "exact":
-        default_r, default_t, default_m = (
-            _EXACT_DEFAULT_R,
-            _EXACT_DEFAULT_T,
-            _EXACT_DEFAULT_MIRROR,
-        )
-    else:
-        default_r, default_t, default_m = (
-            _FLOAT_DEFAULT_R,
-            _FLOAT_DEFAULT_T,
-            _FLOAT_DEFAULT_MIRROR,
-        )
-
-    r = _broadcast(spec.r if spec.r is not None else default_r, spec.n, "r")
-    t = _broadcast(spec.t if spec.t is not None else default_t, spec.n, "t")
-    mirror = _broadcast(
-        spec.mirror_factor if spec.mirror_factor is not None else default_m,
-        spec.n,
-        "mirror_factor",
-    )
-    if mode == "float":
-        r = tuple(complex(v) for v in r)
-        t = tuple(complex(v) for v in t)
-        mirror = tuple(complex(v) for v in mirror)
-    elif any(isinstance(v, (float, complex)) for v in r + t + mirror):
-        raise SpecError("exact mode takes exact r, t and mirror_factor values, not floats")
+    default_r, default_t, default_m = _REFERENCE[spec.mode]
+    r = _broadcast(spec.r, default_r, spec.n, "r", F.scalar)
+    t = _broadcast(spec.t, default_t, spec.n, "t", F.scalar)
+    mirror = _broadcast(spec.mirror_factor, default_m, spec.n, "mirror_factor", F.scalar)
 
     # Written so that a NaN or infinite value fails: comparisons with NaN
     # are false.
@@ -194,13 +153,13 @@ def compile_spec(spec: MultiportSpec) -> CompiledMultiport:
     if isinstance(phases, (list, tuple)):
         if len(phases) != spec.n:
             raise SpecError(f"edge_phases needs exactly {spec.n} entries")
-        edge = tuple(_phase_factor(float(p), mode) for p in phases)
+        edge = tuple(F.phase(float(p)) for p in phases)
     else:
-        edge = tuple([_phase_factor(float(phases), mode)] * spec.n)
+        edge = tuple([F.phase(float(phases))] * spec.n)
 
     if spec.max_steps < 2:
         raise SpecError("max_steps must be at least 2")
-    return CompiledMultiport(spec.n, mode, r, t, mirror, edge, spec.max_steps)
+    return CompiledMultiport(spec.n, spec.mode, r, t, mirror, edge, spec.max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +245,8 @@ def _check_port(dev: CompiledMultiport, port: int, what: str) -> None:
         raise SpecError(f"{what} port {port} outside the device")
 
 
-def _amp_is_zero(amp, mode: str) -> bool:
-    if mode == "exact":
-        return amp.is_zero()
-    return abs(amp) <= 1e-300
-
-
 def _encounters(dev: CompiledMultiport, input_port: int):
-    """Step one photon entering ``input_port`` through the step rows.
+    """Step one photon into an exact device's ``input_port`` through the step rows.
 
     Yields, per encounter N = 1, 2, ..., its ExitStep, the probability
     still inside the device and the largest conservation deviation so far.
@@ -301,18 +254,17 @@ def _encounters(dev: CompiledMultiport, input_port: int):
     """
     n = dev.n
     successors = _successors(step_rows(dev))
-    zero = exact.scalar_zero(dev.mode)
-    real_zero = zero if dev.mode == "exact" else 0.0
-    state = {3 * n + input_port: exact.scalar_one(dev.mode)}
-    cumulative = real_zero
+    zero = exact.ZERO
+    state = {3 * n + input_port: exact.ONE}
+    cumulative = zero
     conservation = 0.0
     for k in itertools.count(1):
         new = _sparse_step(successors, state)
         exits = tuple(new.pop(3 * n + p, zero) for p in range(n))
-        state = {mode: a for mode, a in new.items() if not _amp_is_zero(a, dev.mode)}
-        step_prob = sum((exact.abs_sq(a) for a in exits), real_zero)
+        state = {mode: a for mode, a in new.items() if not a.is_zero()}
+        step_prob = sum((exact.abs_sq(a) for a in exits), zero)
         cumulative = cumulative + step_prob
-        internal = sum((exact.abs_sq(a) for a in state.values()), real_zero)
+        internal = sum((exact.abs_sq(a) for a in state.values()), zero)
         conservation = max(conservation, abs(float(internal + cumulative) - 1.0))
         yield ExitStep(k, exits, step_prob, cumulative), internal, conservation
 
@@ -459,7 +411,7 @@ def steady_state(spec: MultiportSpec, tol: float = 1e-12) -> SteadyStateResult:
     converged = True
     conservation = 0.0
     for port in range(dev.n):
-        acc = [exact.scalar_zero(dev.mode)] * dev.n
+        acc = [exact.ZERO] * dev.n
         encounters = itertools.islice(_encounters(dev, port), dev.max_steps)
         for step, internal, port_conservation in encounters:
             acc = [a + e for a, e in zip(acc, step.amplitudes)]
@@ -532,16 +484,16 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
     if not tol > 0:
         raise SpecError("tol must be positive")
     dev = compile_spec(spec)
-    solve = _resolvent_dense if dev.mode == "float" else _resolvent_exact
-    matrix, residual, dim = solve(dev)
-    if dev.mode == "exact":
+    if dev.mode == "float":
+        matrix, residual, dim = _resolvent_dense(dev)
+        unitarity = matrix.unitarity_dev()
+    else:
+        matrix, residual, dim = _resolvent_exact(dev)
         if residual:
             raise InvariantViolation(f"exact resolvent left residual {residual:.3e}")
-        if not _exactly_unitary(matrix.rows):
+        if not matrix.is_unitary():
             raise InvariantViolation("exact long-time matrix is not unitary")
         unitarity = 0.0
-    else:
-        unitarity = matrix.unitarity_dev()
     if not residual <= tol:
         raise ConvergenceError(
             f"long-time matrix residual {residual:.3e} above tol {tol:.3e}"
@@ -638,17 +590,6 @@ def _resolvent_exact(dev: CompiledMultiport):
         residual = max(residual, math.sqrt(float(sum((a.abs_sq() for a in r.values()), zero))))
     U = tuple(tuple(column[q] for column in columns) for q in range(n))
     return Matrix(U, "exact"), residual, d
-
-
-def _exactly_unitary(rows) -> bool:
-    """U U^H == I, one triangle of the Hermitian product."""
-    conj = [[a.conjugate() for a in row] for row in rows]
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            total = sum((a * b for a, b in zip(row, conj[j]) if a and b), exact.ZERO)
-            if total != (exact.ONE if i == j else exact.ZERO):
-                return False
-    return True
 
 
 def _axpy(y: dict, c, x: dict) -> dict:
@@ -776,7 +717,7 @@ def enumerate_paths(
         )
 
     paths: List[PathTrace] = []
-    stack = [(start, 1, exact.scalar_one(dev.mode), ())]
+    stack = [(start, 1, exact.field(dev.mode).one, ())]
     while stack:
         mode, k, amp, syms = stack.pop()
         for out, weight, symbol in successors[mode]:
@@ -823,6 +764,7 @@ def amplitude_series(
     """
     record = exit_record(spec, input_port, n_max)
     mode = record.mode
+    F = exact.field(mode)
     terms = []
     for step in record.steps:
         amp = step.amplitudes[output_port]
@@ -833,7 +775,7 @@ def amplitude_series(
             f"only {len(terms)} nonzero terms up to N={n_max}; nothing to extrapolate"
         )
     partials = []
-    acc = exact.scalar_zero(mode)
+    acc = F.zero
     for n, amp in terms:
         acc = acc + amp
         partials.append((n, acc))
@@ -853,11 +795,8 @@ def amplitude_series(
             "nonzero terms do not settle into a constant ratio; refusing to extrapolate"
         )
     # terms[start] is the first member of the geometric suffix
-    head = exact.scalar_zero(mode)
-    for _n, amp in terms[:start]:
-        head = head + amp
-    one = exact.scalar_one(mode)
-    tail = terms[start][1] / (one - last)
+    head = sum((amp for _n, amp in terms[:start]), F.zero)
+    tail = terms[start][1] / (F.one - last)
     return AmplitudeSeries(input_port, output_port, terms, partials, last, head + tail)
 
 
@@ -892,42 +831,30 @@ def symmetric_unitary(phi_a: float, phi: float, mode: str = "float") -> Matrix:
     """
     if not (math.isfinite(phi_a) and math.isfinite(phi)):
         raise SpecError("phi_a and phi must be finite")
+    F = exact.field(mode)
+    lead = F.phase(phi_a)
     if mode == "exact":
-        lead = _phase_factor(phi_a, "exact")
         k = round(phi / (math.pi / 2.0))
         if abs(phi - k * math.pi / 2.0) > 1e-12:
             raise SpecError("exact mode supports phi in multiples of pi/2")
-        c = (1, 0, -1, 0)[k % 4]
-        if c == 0:
-            alpha = exact.ONE
-            beta = exact.ZERO
-        else:
-            alpha = exact.ExactComplex(Fraction(1, 3))
-            beta = exact.ExactComplex(Fraction(-2 * c, 3))
-        off = lead * _phase_factor(phi, "exact") * beta
-        diag = lead * alpha
-        rows = tuple(
-            tuple(diag if i == j else off for j in range(3)) for i in range(3)
-        )
-        return Matrix(rows, "exact")
-    alpha, beta = family_coefficients(phi)
-    lead = cmath.exp(1j * phi_a)
+        c = (1, 0, -1, 0)[k % 4]  # cos(phi)
+        alpha = exact.ExactComplex(Fraction(1, 3) if c else 1)
+        beta = alpha * (-2 * c)
+    else:
+        alpha, beta = family_coefficients(phi)
     diag = lead * alpha
-    off = lead * cmath.exp(1j * phi) * beta
+    off = lead * F.phase(phi) * beta
     rows = tuple(tuple(diag if i == j else off for j in range(3)) for i in range(3))
-    return Matrix(rows, "float")
+    return Matrix(rows, mode)
 
 
 def grover_coin(n: int, mode: str = "float") -> Matrix:
     """The n x n involution with 2/n off the diagonal and 2/n - 1 on it."""
     if n < 2:
         raise SpecError("grover coin needs n >= 2")
-    if mode == "exact":
-        off = exact.ExactComplex(Fraction(2, n))
-        diag = exact.ExactComplex(Fraction(2, n) - 1)
-    else:
-        off = complex(2.0 / n)
-        diag = complex(2.0 / n - 1.0)
+    one = exact.field(mode).one
+    off = one * 2 / n
+    diag = off - one
     rows = tuple(tuple(diag if i == j else off for j in range(n)) for i in range(n))
     return Matrix(rows, mode)
 
@@ -936,11 +863,9 @@ def triport_unitary(mode: str = "exact") -> Matrix:
     """Closed-form long-time transition matrix of the reference 3-port.
 
     Equals i times the 3-dimensional Grover coin: diagonal -i/3,
-    off-diagonal 2i/3.
+    off-diagonal 2i/3.  The factor i is minus the reference mirror factor.
     """
-    if mode == "exact":
-        return grover_coin(3, "exact").scaled(exact.I)
-    return grover_coin(3, "float").scaled(1j)
+    return grover_coin(3, mode).scaled(-_REFERENCE[mode][2])
 
 
 def compare_up_to_global_phase(

@@ -19,15 +19,23 @@ constructor and the coefficient properties.
 Mixing exact scalars with floats or complex numbers is intentionally a
 TypeError: it would silently destroy exactness.  Plain ints and
 Fractions coerce fine.
+
+``field(mode)`` gives the scalars of a numeric mode, ``EXACT`` or
+``FLOAT``: its zero and one, sqrt of an integer, the zero test and the
+phase factor, so the rest of the package takes a Field instead of
+branching on the mode name.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Callable
 
-from .errors import CapacityError
+from .errors import CapacityError, SpecError
 
 _SQRT2_F = math.sqrt(2.0)
 _SQRT3_F = math.sqrt(3.0)
@@ -102,11 +110,7 @@ class ExactComplex:
         self._n = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self._d = den
 
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def rational(cls, num, den=1) -> "ExactComplex":
-        return cls(Fraction(num, den))
+    # -- coefficients ------------------------------------------------------
 
     @property
     def re_coefficients(self) -> tuple:
@@ -374,11 +378,7 @@ def exact_sqrt_int(m: int) -> ExactComplex:
         return ZERO
     square = 1
     rest = m
-    for p in (2, 3):
-        while rest % (p * p) == 0:
-            rest //= p * p
-            square *= p
-    # Pull out larger perfect-square factors of the remainder.
+    # Pull out perfect-square factors, smallest first.
     k = 2
     while k * k <= rest:
         while rest % (k * k) == 0:
@@ -393,19 +393,6 @@ def exact_sqrt_int(m: int) -> ExactComplex:
     return _make(tuple(nums), 1)
 
 
-def sqrt_int(m: int, mode: str):
-    """sqrt of an integer in the requested numeric mode."""
-    if mode == "exact":
-        return exact_sqrt_int(m)
-    return complex(math.sqrt(m))
-
-
-def sqrt_factorial(k: int, mode: str):
-    if mode == "exact":
-        return exact_sqrt_int(math.factorial(k))
-    return complex(math.sqrt(math.factorial(k)))
-
-
 def abs_sq(z):
     """|z|^2 for either scalar mode (exact stays exact, float stays float)."""
     if isinstance(z, ExactComplex):
@@ -413,9 +400,66 @@ def abs_sq(z):
     return (z.real * z.real + z.imag * z.imag) if isinstance(z, complex) else float(z) ** 2
 
 
-def scalar_zero(mode: str):
-    return ZERO if mode == "exact" else 0j
+# A float amplitude at or below this modulus counts as zero: states drop
+# such terms, and the gate expansion skips such matrix entries.
+FLOAT_PRUNE = 1e-14
 
 
-def scalar_one(mode: str):
-    return ONE if mode == "exact" else 1 + 0j
+@dataclass(frozen=True)
+class Field:
+    """The scalars of one numeric mode, so that callers need not branch on it.
+
+    ``real_zero`` is the zero a sum of |a|^2 starts from: ZERO in exact
+    mode, 0.0 in float mode.  ``scalar`` turns a user-supplied r, t or
+    mirror value into the mode's type, and ``phase`` turns a phase in
+    radians into its unit-modulus factor.
+    """
+
+    zero: object
+    one: object
+    real_zero: object
+    inv_sqrt2: object
+    sqrt_int: Callable
+    is_zero: Callable
+    scalar: Callable
+    phase: Callable
+
+
+def _finite_phase(radians: float) -> float:
+    if not math.isfinite(radians):
+        raise SpecError(f"phase must be finite, got {radians!r}")
+    return radians
+
+
+def _exact_phase(radians: float) -> ExactComplex:
+    k = _finite_phase(radians) / (math.pi / 4.0)
+    rounded = round(k)
+    if abs(k - rounded) > 1e-12:
+        raise SpecError("exact mode supports phases that are multiples of pi/4")
+    return eighth_root(rounded)
+
+
+def _exact_scalar(value):
+    if isinstance(value, (float, complex)):
+        raise SpecError("exact mode takes exact r, t and mirror_factor values, not floats")
+    return value
+
+
+EXACT = Field(
+    zero=ZERO, one=ONE, real_zero=ZERO, inv_sqrt2=INV_SQRT2, sqrt_int=exact_sqrt_int,
+    is_zero=ExactComplex.is_zero, scalar=_exact_scalar, phase=_exact_phase,
+)
+FLOAT = Field(
+    zero=0j, one=1 + 0j, real_zero=0.0, inv_sqrt2=complex(2 ** -0.5),
+    sqrt_int=lambda m: complex(math.sqrt(m)), is_zero=lambda a: abs(a) <= FLOAT_PRUNE,
+    scalar=complex, phase=lambda radians: cmath.exp(1j * _finite_phase(radians)),
+)
+_FIELDS = {"exact": EXACT, "float": FLOAT}
+
+
+def field(mode: str) -> Field:
+    """The Field of a numeric mode, 'exact' or 'float'."""
+    try:
+        return _FIELDS[mode]
+    except (KeyError, TypeError):
+        raise SpecError(f"unknown numeric mode {mode!r}") from None

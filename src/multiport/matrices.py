@@ -6,6 +6,7 @@ scalars; numpy is only brought in for the eigendecomposition.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -38,10 +39,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, mode: str = "float") -> "Matrix":
-        one = exact.scalar_one(mode)
-        zero = exact.scalar_zero(mode)
+        F = exact.field(mode)
         return cls(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), mode
+            tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n)), mode
         )
 
     @classmethod
@@ -72,31 +72,22 @@ class Matrix:
             raise DimensionMismatchError("matrix dimensions differ")
         if self.mode != other.mode:
             raise SpecError("cannot mix exact and float matrices")
-        n = self.dim
-        zero = exact.scalar_zero(self.mode)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(tuple(out), self.mode)
+        zero = exact.field(self.mode).zero
+        columns = [other.column(j) for j in range(other.dim)]
+        return Matrix(
+            tuple(
+                tuple(sum(map(operator.mul, row, column), zero) for column in columns)
+                for row in self.rows
+            ),
+            self.mode,
+        )
 
     def apply(self, vector: Iterable) -> tuple:
         vec = tuple(vector)
         if len(vec) != self.dim:
             raise DimensionMismatchError("vector length differs from matrix dimension")
-        zero = exact.scalar_zero(self.mode)
-        out = []
-        for i in range(self.dim):
-            acc = zero
-            for j, v in enumerate(vec):
-                acc = acc + self.rows[i][j] * v
-            out.append(acc)
-        return tuple(out)
+        zero = exact.field(self.mode).zero
+        return tuple(sum(map(operator.mul, row, vec), zero) for row in self.rows)
 
     def max_abs_dev(self, other: "Matrix") -> float:
         a = self.to_numpy()
@@ -110,6 +101,9 @@ class Matrix:
         return float(np.max(np.abs(a @ a.conj().T - np.eye(self.dim))))
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
+        """U U^H == I: exactly for an exact matrix, to ``tol`` for a float one."""
+        if self.mode == "exact":
+            return self @ self.dagger() == Matrix.identity(self.dim, "exact")
         return self.unitarity_dev() <= tol
 
     def __eq__(self, other):

@@ -166,8 +166,7 @@ class WalkEngine:
     """Compiled walk over a GraphSpec; each run owns its state vector."""
 
     def __init__(self, g: GraphSpec):
-        if g.mode not in ("exact", "float"):
-            raise SpecError(f"unknown numeric mode {g.mode!r}")
+        F = exact.field(g.mode)
         if not g.vertices:
             raise SpecError("graph needs at least one vertex")
         if not all(isinstance(vert, (IdealVertex, PhysicalVertex)) for vert in g.vertices):
@@ -233,7 +232,7 @@ class WalkEngine:
         # k whole-column adds (about 3x faster than row-major here).
         self._S = np.full((zero_slot, fan_in), zero_slot, dtype=np.intp, order="F")
         self._W = np.full(
-            (zero_slot, fan_in), exact.scalar_zero(self.mode), dtype=self._dtype, order="F"
+            (zero_slot, fan_in), F.zero, dtype=self._dtype, order="F"
         )
         for out, terms in rows:
             self._S[out, : len(terms)] = [src for src, _w in terms]
@@ -351,8 +350,9 @@ class WalkEngine:
     ) -> WalkResult:
         if steps < 1:
             raise SpecError("steps must be >= 1")
+        F = exact.field(self.mode)
         if isinstance(input_lead, int):
-            injection = {input_lead: exact.scalar_one(self.mode)}
+            injection = {input_lead: F.one}
         else:
             injection = dict(input_lead)
         for l in injection:
@@ -364,8 +364,7 @@ class WalkEngine:
                     _vertex_index(v, len(self.graph.vertices), "schedule override")
 
         modes, edge_modes = self._modes, len(self._edge_keys)
-        zero = exact.scalar_zero(self.mode)
-        x = np.full(self._S.shape[0] + 1, zero, dtype=self._dtype)
+        x = np.full(self._S.shape[0] + 1, F.zero, dtype=self._dtype)
         for l, amp in injection.items():
             x[modes + l] = amp
         x_sq = _abs_sq(x)
@@ -388,7 +387,7 @@ class WalkEngine:
                 live = (x_sq[self._vertex_inputs] != 0).any(axis=1)[self._edge_source]
                 edge_probs = compress(edge_probs, live.tolist())
             x[:modes] = out[:modes]
-            x[modes:] = zero
+            x[modes:] = F.zero
             x_sq[:modes] = out_sq[:modes]
             x_sq[modes:] = 0
             lead_cum += probs[modes:]

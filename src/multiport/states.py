@@ -16,6 +16,7 @@ a pure function, so independent computations can run concurrently.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from . import exact
@@ -31,8 +32,6 @@ MAX_PHOTONS = 4
 
 Mode = Tuple[int, int]
 Occupation = Tuple[Tuple[Mode, int], ...]
-
-FLOAT_PRUNE = 1e-14
 
 
 def port_label(index: int) -> str:
@@ -74,12 +73,6 @@ def occupation_str(occ: Occupation) -> str:
     return " ".join(f"{c}{POL_NAMES[pol]}{port_label(port)}" for (port, pol), c in occ)
 
 
-def _is_zero(amp, mode: str) -> bool:
-    if mode == "exact":
-        return amp.is_zero()
-    return abs(amp) <= FLOAT_PRUNE
-
-
 class MultiPhotonState:
     """Sparse amplitude map over photon-number basis states.
 
@@ -90,12 +83,11 @@ class MultiPhotonState:
     __slots__ = ("n_ports", "mode", "terms")
 
     def __init__(self, terms: Mapping[Occupation, object], n_ports: int, mode: str = "float"):
-        if mode not in ("exact", "float"):
-            raise SpecError(f"unknown numeric mode {mode!r}")
+        is_zero = exact.field(mode).is_zero
         clean: Dict[Occupation, object] = {}
         total = None
         for occ, amp in terms.items():
-            if _is_zero(amp, mode):
+            if is_zero(amp):
                 continue
             photons = occupation_photons(occ)
             if photons == 0:
@@ -118,7 +110,7 @@ class MultiPhotonState:
 
     @classmethod
     def single(cls, port: int, pol: int, n_ports: int, mode: str = "float") -> "MultiPhotonState":
-        amp = exact.scalar_one(mode)
+        amp = exact.field(mode).one
         return cls({occupation_key({(port, pol): 1}): amp}, n_ports, mode)
 
     @classmethod
@@ -137,24 +129,17 @@ class MultiPhotonState:
         return not self.terms
 
     def norm_sq(self):
-        total = exact.scalar_zero(self.mode) if self.mode == "exact" else 0.0
-        for amp in self.terms.values():
-            total = total + exact.abs_sq(amp)
-        return total
+        return sum(map(exact.abs_sq, self.terms.values()), exact.field(self.mode).real_zero)
 
     def amplitude(self, counts: Mapping[Mode, int]):
         key = occupation_key(counts)
-        return self.terms.get(key, exact.scalar_zero(self.mode))
+        return self.terms.get(key, exact.field(self.mode).zero)
 
     def overlap(self, other: "MultiPhotonState"):
         """<self|other> in the orthonormal number basis."""
         self._check_compatible(other)
-        total = exact.scalar_zero(self.mode)
-        for occ, amp in self.terms.items():
-            o = other.terms.get(occ)
-            if o is not None:
-                total = total + amp.conjugate() * o
-        return total
+        pairs = ((amp, other.terms[occ]) for occ, amp in self.terms.items() if occ in other.terms)
+        return sum((a.conjugate() * o for a, o in pairs), exact.field(self.mode).zero)
 
     # -- algebra -----------------------------------------------------------
 
@@ -178,7 +163,7 @@ class MultiPhotonState:
         return MultiPhotonState(merged, self.n_ports, self.mode)
 
     def __sub__(self, other: "MultiPhotonState") -> "MultiPhotonState":
-        minus_one = -exact.scalar_one(self.mode)
+        minus_one = -exact.field(self.mode).one
         return self + other.scaled(minus_one)
 
     def __str__(self):
@@ -204,10 +189,7 @@ class PortStateVector:
         return len(self.amplitudes)
 
     def norm_sq(self):
-        total = exact.scalar_zero(self.mode)
-        for a in self.amplitudes:
-            total = total + exact.abs_sq(a)
-        return total
+        return sum(map(exact.abs_sq, self.amplitudes), exact.field(self.mode).zero)
 
     def __getitem__(self, port: int):
         return self.amplitudes[port]
@@ -261,7 +243,7 @@ def merge_occupations(occ1: Occupation, occ2: Occupation, amp, mode: str):
         combined[m] = prev + c
         if prev:
             # binomial(prev + c, c) is one of {2, 3, 4, 6} here
-            amp = amp * exact.sqrt_int(_binom(prev + c, c), mode)
+            amp = amp * exact.field(mode).sqrt_int(_binom(prev + c, c))
     return occupation_key(combined), amp
 
 
@@ -289,6 +271,7 @@ def apply_port_unitary(unitary, state: MultiPhotonState) -> MultiPhotonState:
     if unitary.mode != state.mode:
         raise SpecError("matrix and state numeric modes differ")
     mode = state.mode
+    F = exact.field(mode)
     dim = unitary.dim
     out: Dict[Occupation, object] = {}
     for occ, amp in state.terms.items():
@@ -296,7 +279,7 @@ def apply_port_unitary(unitary, state: MultiPhotonState) -> MultiPhotonState:
         factors = []
         for (port, pol), c in occ:
             if c > 1:
-                coef = coef / exact.sqrt_factorial(c, mode)
+                coef = coef / F.sqrt_int(math.factorial(c))
             factors.extend(((port, pol),) * c)
         partial: Dict[Occupation, object] = {(): coef}
         for port, pol in factors:
@@ -305,7 +288,7 @@ def apply_port_unitary(unitary, state: MultiPhotonState) -> MultiPhotonState:
                 counts = dict(mono)
                 for q in range(dim):
                     u = unitary.entry(q, port)
-                    if _is_zero(u, mode):
+                    if F.is_zero(u):
                         continue
                     counts2 = dict(counts)
                     m = (q, pol)
@@ -319,7 +302,7 @@ def apply_port_unitary(unitary, state: MultiPhotonState) -> MultiPhotonState:
             val = c0
             for _m, c in mono:
                 if c > 1:
-                    val = val * exact.sqrt_factorial(c, mode)
+                    val = val * F.sqrt_int(math.factorial(c))
             cur = out.get(mono)
             out[mono] = val if cur is None else cur + val
     return MultiPhotonState(out, state.n_ports, mode)

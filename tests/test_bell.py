@@ -785,7 +785,7 @@ def test_sector_product_and_herald_match_full_product(mode):
             out = bell._herald(branches, 1.0, kind, out_ports)
             prob = sum(
                 (exact.abs_sq(a) for key in keys for a in branches[key].terms.values()),
-                exact.scalar_zero(mode) if mode == "exact" else 0.0,
+                exact.field(mode).real_zero,
             )
             assert out.probability == pytest.approx(float(prob), abs=1e-12)
             assert out.probability_exact == (prob if mode == "exact" else None)

@@ -1,10 +1,13 @@
 """CLI contract: values, formats, determinism and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,8 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import multiport
+from multiport import device
 from multiport.cli import build_parser, main, parse_complex
 from multiport.errors import ConfigError
+from multiport.matrices import Matrix
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -97,6 +103,56 @@ def test_output_is_byte_stable(capsys):
     c1 = run_cli(capsys, "exits", "--steps", "8", "--format", "csv")
     c2 = run_cli(capsys, "exits", "--steps", "8", "--format", "csv")
     assert c1 == c2
+
+
+# sha256 of the exact-mode stdout of each command, in JSON and CSV.  Exact
+# output is ints plus correctly rounded floats, so these bytes are the
+# same on every IEEE-754 machine; a change to them is a change of output.
+_EXACT_DIGESTS = [
+    (("exits",), "json",
+     "fc7bc16b21658b10a7526aad13d0fe196ba92b9604229d355e11abe65e860e44"),
+    (("paths", "--length", "6"), "json",
+     "e4d3a3c3ded3f6b457513382064ab7b97b9b884c784aa08d2ff57a3c5116640d"),
+    (("unitary", "--n", "3"), "json",
+     "275b8fbf950bd9355c30be6b80159e0ea9663b999327ecead9cb097c906a9e8d"),
+    (("unitary", "--n", "6"), "json",
+     "7cedf7ef7f0ee2f9751d941d9f8a3ed23b4b61ad9877d2eeaae72b69ccc55420"),
+    (("unitary", "--n", "7"), "json",
+     "7a9cb91ecd4a141b786780e93b91d4e4b96b761992a259acfaed92371d848734"),
+    (("bell-table",), "json",
+     "0ceb031c0e23312b8815671d9394cb9d479fb5d12eaba1bc12be0a226bcab18e"),
+    (("group-table", "--condition", "s"), "json",
+     "7878f6c3f3f5d26dd35feb862a11e7d707f5bf9c3b3ebf4b077adc1e3cfc6882"),
+    (("group-table", "--condition", "o"), "json",
+     "cc2c20a6d85e43bb230e75abdf7de582d5f0a6a82b57a88f5af3ec888e7970a0"),
+    (("cnot",), "json",
+     "3dce32867523e72042c7c615ead6b347ab661b04bb52eb7d4eec1f3560dcd985"),
+    (("exits",), "csv",
+     "9f7162cc0c7e2e3d35437a4cadcd318e4c77f92620c6b162d53749e4dcf59d1f"),
+    (("paths", "--length", "6"), "csv",
+     "cc5ba5ab46939d36ccd7ff6cbc615842b43e279fd34b1da1a8370caa6d690867"),
+    (("unitary", "--n", "3"), "csv",
+     "c7a51ed9876704d8cffd2f364665c9bfb91b26883185cd379f19fe3b47d80ad9"),
+    (("unitary", "--n", "6"), "csv",
+     "7c297f6cbdeabb02b17b0932ab186659c70ad8b4f99dd4ca95a564cedc515a19"),
+    (("unitary", "--n", "7"), "csv",
+     "0bc54dd37df3e0925b69182851ed80f0983b63a34de5501d1d3b6a4622a92d93"),
+    (("bell-table",), "csv",
+     "9b4a14b882619389ae897d70a87d13241f838f16cc257367c2988c2817492e9e"),
+    (("group-table", "--condition", "s"), "csv",
+     "62935f537a5dfed26c3f084b76d3c7a68a78d845bc5f8e1374ef89d75225a7b6"),
+    (("group-table", "--condition", "o"), "csv",
+     "29739b34ff4b3da6fc99e436956b784b27d10e218075d7e948f25724678daa0a"),
+    (("cnot",), "csv",
+     "732f7efb6654268a17e6e1d46c1e5c5adc62bd3099e124033f027c1ce2c2f5a0"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, digest", _EXACT_DIGESTS)
+def test_exact_output_matches_recorded_digest(capsys, argv, fmt, digest):
+    code, out, err = run_cli(capsys, *argv, "--mode", "exact", "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_paths_command(capsys):
@@ -294,6 +350,39 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, "unitary", "--n", "5", "--mode", "float", "--tol", "1e-300")[0] == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_exits_141(fmt):
+    """Output into a pipe whose read end is closed ends with exit 141
+    (128 + SIGPIPE) and an empty stderr, not a BrokenPipeError traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(multiport.__file__)))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "multiport.cli", "exits", "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_coin_dim_above_the_port_bound_is_refused_before_the_coin_is_built(
+    capsys, tmp_path, monkeypatch
+):
+    built = []
+    monkeypatch.setattr(device, "grover_coin", lambda n, mode="float": built.append(n))
+    identity = classmethod(lambda cls, n, mode="float": built.append(n))
+    monkeypatch.setattr(Matrix, "identity", identity)
+    for coin in ("grover", "identity"):
+        walk = {"vertices": [{"coin": coin, "dim": device._MAX_PORTS + 1}], "edges": [],
+                "leads": [0, 0, 0]}
+        code, _out, err = _walk_code(capsys, tmp_path, walk)
+        assert code == 2
+        assert f"at most {device._MAX_PORTS} channels" in err
+    assert built == []
+
+
 def test_env_var_sets_default_mode(capsys, monkeypatch):
     monkeypatch.setenv("MULTIPORT_NUMERIC_MODE", "exact")
     payload = run_json(capsys, "exits", "--steps", "2")
@@ -323,7 +412,7 @@ def test_repeated_calls_share_no_state(capsys):
 _JUNK = st.sampled_from([None, 3, -1, 1.5, True, "x", "0", [], {}, [0, 1, 2], [[0]]])
 _FAULTS = (
     "edge outside", "lead outside", "lead type", "self-loop", "disconnected", "degree",
-    "phase", "r/t", "coin rows", "override outside", "override kind", "junk",
+    "phase", "r/t", "coin rows", "override outside", "override kind", "junk", "oversize",
 )
 
 
@@ -332,7 +421,8 @@ def _walk_configs(draw):
     """(mode, walk section): a well-formed connected walk with a schedule,
     or the same with one fault: a vertex outside the graph, a mismatched
     degree, an off-grid or non-finite phase, r/t or explicit coin rows in
-    exact mode, an override of the wrong kind, junk in one field."""
+    exact mode, an override of the wrong kind, junk in one field, or a
+    named coin's dim or a multiport's n one above ``device._MAX_PORTS``."""
     mode = draw(st.sampled_from(["float", "exact"]))
     fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
     ideal = draw(st.booleans())
@@ -401,6 +491,12 @@ def _walk_configs(draw):
         vertices[draw(st.integers(0, count - 1))] = coin(want[0] + 1) if ideal else {"multiport": {"n": 2}}
     elif fault == "override outside":
         schedule["1"] = {str(count + draw(st.integers(0, 2))): coin(2) if ideal else params()}
+    elif fault == "oversize":
+        big = device._MAX_PORTS + 1
+        vertices[draw(st.integers(0, count - 1))] = (
+            {"coin": draw(st.sampled_from(["grover", "identity"])), "dim": big} if ideal
+            else {"multiport": {"n": big}}
+        )
     elif fault == "junk":
         walk[draw(st.sampled_from(["vertices", "edges", "leads", "schedule"]))] = draw(_JUNK)
     return mode, walk

@@ -486,7 +486,7 @@ class _ReferenceEvolution:
     def __init__(self, dev, input_port):
         self.dev = dev
         self.input_port = input_port
-        self.zero = exact.scalar_zero(dev.mode)
+        self.zero = exact.field(dev.mode).zero
         self.state = {}
         self.encounter = 0
         self.cumulative = self.zero if dev.mode == "exact" else 0.0
@@ -516,7 +516,7 @@ class _ReferenceEvolution:
             out_ext = tv * a_e + rv * a_s
             out_mir = rv * a_e + tv * a_s
             if inject == v:
-                one = exact.scalar_one(dev.mode)
+                one = exact.field(dev.mode).one
                 out_e = tv * one + rv * a_m
                 out_s = rv * one + tv * a_m
             else:
@@ -562,7 +562,7 @@ def _reference_steady_state_exact(dev, tol):
 def _reference_paths(dev, input_port, exit_port, n):
     """Reference: depth-first search over hand-written arrival cases."""
     paths = []
-    stack = [("ext", input_port, 1, exact.scalar_one(dev.mode), (), 0)]
+    stack = [("ext", input_port, 1, exact.field(dev.mode).one, (), 0)]
     while stack:
         kind, v, k, amp, syms, mirrors = stack.pop()
         if k > n:

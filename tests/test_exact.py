@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiport import exact
+from multiport.device import grover_coin
+from multiport.errors import CapacityError, SpecError
 from multiport.exact import ExactComplex
-from multiport.errors import CapacityError
+from multiport.matrices import Matrix
 
 
 def random_scalar(rng):
@@ -70,10 +72,10 @@ def test_sqrt_helpers():
     assert exact.exact_sqrt_int(8) == 2 * exact.SQRT2
     assert exact.exact_sqrt_int(6) == exact.SQRT6
     assert exact.exact_sqrt_int(4) == 2
-    assert exact.sqrt_factorial(2, "exact") == exact.SQRT2
-    assert exact.sqrt_factorial(3, "exact") == exact.SQRT6
-    assert exact.sqrt_factorial(4, "exact") == 2 * exact.SQRT6
-    assert exact.sqrt_factorial(3, "float") == pytest.approx(math.sqrt(6))
+    assert exact.field("exact").sqrt_int(math.factorial(2)) == exact.SQRT2
+    assert exact.field("exact").sqrt_int(math.factorial(3)) == exact.SQRT6
+    assert exact.field("exact").sqrt_int(math.factorial(4)) == 2 * exact.SQRT6
+    assert exact.field("float").sqrt_int(math.factorial(3)) == pytest.approx(math.sqrt(6))
     with pytest.raises(CapacityError):
         exact.exact_sqrt_int(5)
 
@@ -343,3 +345,54 @@ def test_kernel_matches_fraction_reference(a, b, k):
         ):
             with pytest.raises(TypeError):
                 op()
+
+
+# -- the per-mode Field --------------------------------------------------------
+
+
+def test_field_names_the_two_modes_only():
+    assert exact.field("exact") is exact.EXACT
+    assert exact.field("float") is exact.FLOAT
+    for bogus in ("bogus", "EXACT", "", None, ["exact"]):
+        with pytest.raises(SpecError, match="unknown numeric mode"):
+            exact.field(bogus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_SCALARS, b=_SCALARS, k=st.integers(-4, 4))
+def test_exact_is_zero_agrees_with_equality(a, b, k):
+    for z in _kernel_results(a, b, k) + [a - a, a * 0, b + -b]:
+        assert exact.EXACT.is_zero(z) == (z == exact.ZERO)
+
+
+def test_phases_agree_across_modes():
+    for k in range(-8, 9):
+        radians = k * math.pi / 4
+        assert abs(complex(exact.EXACT.phase(radians)) - exact.FLOAT.phase(radians)) <= 1e-15
+    for F in (exact.EXACT, exact.FLOAT):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SpecError, match="finite"):
+                F.phase(bad)
+    for off_grid in (0.5, math.pi / 3, math.pi / 4 + 1e-9):
+        with pytest.raises(SpecError, match="multiples of pi/4"):
+            exact.EXACT.phase(off_grid)
+
+
+def test_exact_sqrt_int_squares_back():
+    for free in (1, 2, 3, 6):
+        for square in (1, 2, 3, 5, 12, 35):
+            m = free * square * square
+            assert exact.EXACT.sqrt_int(m) ** 2 == m
+    assert exact.EXACT.sqrt_int(0) == exact.ZERO
+    with pytest.raises(CapacityError):
+        exact.EXACT.sqrt_int(5 * 49)
+
+
+def test_is_unitary_is_exact_for_exact_matrices():
+    coin = grover_coin(4, "exact")
+    assert coin.is_unitary()
+    rows = [list(row) for row in coin.rows]
+    rows[0][0] = rows[0][0] + Fraction(1, 10 ** 20)
+    off = Matrix(rows, "exact")
+    assert off.unitarity_dev() <= 1e-12  # within the float tolerance ...
+    assert not off.is_unitary()  # ... but not unitary

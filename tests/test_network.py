@@ -320,7 +320,7 @@ def _reference_run(g, input_lead, steps, schedule=None):
     (edge probabilities, lead amplitudes, cumulative lead probabilities,
     internal probability, conservation deviation)."""
     mode = g.mode
-    zero = exact.scalar_zero(mode)
+    zero = exact.field(mode).zero
     channels = [[] for _ in g.vertices]
     for e, (u, v) in enumerate(g.edges):
         channels[u].append(("edge", e))
@@ -393,7 +393,7 @@ def _reference_run(g, input_lead, steps, schedule=None):
         return new, lead_amps
 
     if isinstance(input_lead, int):
-        injection = {input_lead: exact.scalar_one(mode)}
+        injection = {input_lead: exact.field(mode).one}
     else:
         injection = dict(input_lead)
     injected = sum(float(exact.abs_sq(a)) for a in injection.values())

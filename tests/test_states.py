@@ -30,14 +30,14 @@ from multiport.device import triport_unitary
 
 
 def ket(counts, n_ports=3, mode="exact", amp=None):
-    amp = amp if amp is not None else exact.scalar_one(mode)
+    amp = amp if amp is not None else exact.field(mode).one
     return MultiPhotonState({occupation_key(counts): amp}, n_ports, mode)
 
 
 def bell_like(pair, kind, sign, n_ports=3, mode="exact"):
     p, q = pair
     inv = exact.INV_SQRT2 if mode == "exact" else complex(2 ** -0.5)
-    s = exact.scalar_one(mode) if sign > 0 else -exact.scalar_one(mode)
+    s = exact.field(mode).one if sign > 0 else -exact.field(mode).one
     if kind == "psi":
         a = {(p, H): 1, (q, V): 1}
         b = {(p, V): 1, (q, H): 1}
