@@ -60,6 +60,13 @@ _MAX_PATHS = 1 << 16
 # anything of its size is allocated.
 _MAX_PORTS = 256
 
+# The most amplitudes a run may record: an exit record holds 4n per
+# encounter (3n internal, n exits), a walk one per state mode and lead per
+# step.  Both allocate their records up front, so a larger run is refused
+# before anything of its size is built.  The largest benchmark walk, a
+# 6x6 grid of physical 4-ports over 80 steps, records 46080.
+_MAX_RECORD_AMPLITUDES = 1 << 22
+
 
 def _broadcast(value, default, n, name, scalar):
     """One ``scalar(v)`` per vertex from ``value``, one value or a list,
@@ -276,6 +283,11 @@ def exit_record(spec: MultiportSpec, input_port: int, n_max: int) -> ExitRecord:
     dev = compile_spec(spec)
     if n_max > dev.max_steps:
         raise SpecError(f"n_max {n_max} exceeds max_steps {dev.max_steps}")
+    if n_max * 4 * dev.n > _MAX_RECORD_AMPLITUDES:
+        raise SpecError(
+            f"an exit record holds at most {_MAX_RECORD_AMPLITUDES} amplitudes; "
+            f"{n_max} encounters x {4 * dev.n} is {n_max * 4 * dev.n}"
+        )
     _check_port(dev, input_port, "input")
     if dev.mode == "float":
         return _exit_record_dense(dev, input_port, n_max)

@@ -433,6 +433,10 @@ def _finite_phase(radians: float) -> float:
 
 def _exact_phase(radians: float) -> ExactComplex:
     k = _finite_phase(radians) / (math.pi / 4.0)
+    if abs(k) >= 2 ** 50:
+        # A float this large no longer resolves the pi/4 grid: every such
+        # k is whole, and it may overflow to inf.
+        raise SpecError(f"exact phase {radians!r} is too large to place on the pi/4 grid")
     rounded = round(k)
     if abs(k - rounded) > 1e-12:
         raise SpecError("exact mode supports phases that are multiples of pi/4")

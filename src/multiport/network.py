@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import exact
-from .device import MultiportSpec, compile_spec, grover_coin, step_rows
+from .device import _MAX_RECORD_AMPLITUDES, MultiportSpec, compile_spec, grover_coin, step_rows
 from .errors import SpecError
 from .matrices import Matrix
 
@@ -213,9 +213,6 @@ class WalkEngine:
         # both _modes + l; the last slot of x stays zero.
         self._edges = edges
         self._edge_keys = [(e, w) for e, (u, v) in enumerate(edges) for w in (v, u)]
-        self._edge_source = np.array(
-            [w for (u, v) in edges for w in (u, v)], dtype=np.intp
-        )
         base = len(self._edge_keys)
         self._intra_base = []
         for vert in g.vertices:
@@ -237,12 +234,6 @@ class WalkEngine:
         for out, terms in rows:
             self._S[out, : len(terms)] = [src for src, _w in terms]
             self._W[out, : len(terms)] = [w for _src, w in terms]
-        if self.kind == "ideal":
-            # A step lists only the out-edges of vertices that received
-            # amplitude; every row of a vertex gathers from all its inputs.
-            self._vertex_inputs = self._S[
-                [self._outgoing(v, chans[0]) for v, chans in enumerate(self.channels)]
-            ]
 
     # -- compiling -------------------------------------------------------
 
@@ -258,47 +249,37 @@ class WalkEngine:
             raise SpecError(f"vertex {v}: coin is not unitary")
         return coin
 
-    def _edge_mode(self, e: int, toward: int) -> int:
-        return 2 * e + (toward == self._edges[e][0])
-
-    def _incoming(self, v: int, chan) -> int:
-        kind, idx = chan
-        return self._edge_mode(idx, v) if kind == "edge" else self._modes + idx
-
-    def _outgoing(self, v: int, chan) -> int:
-        kind, idx = chan
-        if kind == "lead":
-            return self._modes + idx
-        u, w = self._edges[idx]
-        return self._edge_mode(idx, w if v == u else u)
-
     def _vertex_rows(self, v: int, params):
         """(output, ((source, weight), ...)) for every output of vertex v.
 
-        A physical vertex takes its rows from ``device.step_rows``; an
-        ideal vertex's output on channel i is row i of its coin."""
-        chans = self.channels[v]
+        Its own rows run over its own modes, then one slot per port: a
+        multiport's ``device.step_rows`` over 3n modes, or a coin's row q,
+        gathering port p with weight coin[q][p], over none.  Own mode i is
+        placed at _intra_base[v] + i, and port slot p at channel p's
+        incoming mode as a source and its outgoing mode as an output."""
         if self.kind == "ideal":
-            sources = [self._incoming(v, chan) for chan in chans]
-            return [
-                (self._outgoing(v, chan), tuple(zip(sources, params.rows[i])))
-                for i, chan in enumerate(chans)
-            ]
-        # The vertex's step rows, placed: internal mode i is _intra_base[v] + i
-        # (the layouts agree) and port p's slot is channel p's edge or lead.
-        internal = 3 * params.n
+            own = 0
+            rows = [(q, [(p, w, ()) for p, w in enumerate(r)]) for q, r in enumerate(params.rows)]
+        else:
+            own = 3 * params.n
+            rows = step_rows(params)
         base = self._intra_base[v]
-        sources = [self._incoming(v, chan) for chan in chans]
-        outputs = [self._outgoing(v, chan) for chan in chans]
+        sources = [
+            2 * idx + (v == self._edges[idx][0]) if kind == "edge" else self._modes + idx
+            for kind, idx in self.channels[v]
+        ]
+        # A lead's slot is its input and its output; an edge's two modes
+        # differ in their last bit.
+        outputs = [src ^ 1 if src < self._modes else src for src in sources]
         return [
             (
-                base + out if out < internal else outputs[out - internal],
+                base + out if out < own else outputs[out - own],
                 tuple(
-                    (base + src if src < internal else sources[src - internal], w)
+                    (base + src if src < own else sources[src - own], w)
                     for src, w, _symbol in terms
                 ),
             )
-            for out, terms in step_rows(params)
+            for out, terms in rows
         ]
 
     def _override_params(self, v: int, override):
@@ -350,6 +331,12 @@ class WalkEngine:
     ) -> WalkResult:
         if steps < 1:
             raise SpecError("steps must be >= 1")
+        slots = self._S.shape[0]  # the next state's modes, then one output per lead
+        if steps * slots > _MAX_RECORD_AMPLITUDES:
+            raise SpecError(
+                f"a walk records at most {_MAX_RECORD_AMPLITUDES} amplitudes; "
+                f"{steps} steps x {slots} slots is {steps * slots}"
+            )
         F = exact.field(self.mode)
         if isinstance(input_lead, int):
             injection = {input_lead: F.one}
@@ -364,47 +351,51 @@ class WalkEngine:
                     _vertex_index(v, len(self.graph.vertices), "schedule override")
 
         modes, edge_modes = self._modes, len(self._edge_keys)
-        x = np.full(self._S.shape[0] + 1, F.zero, dtype=self._dtype)
+        x = np.full(slots + 1, F.zero, dtype=self._dtype)
         for l, amp in injection.items():
             x[modes + l] = amp
-        x_sq = _abs_sq(x)
-        lead_cum = np.zeros(self.lead_count)
         injected_prob = sum(float(exact.abs_sq(a)) for a in injection.values())
-        conservation = 0.0
-        records: List[WalkStep] = []
+        # Per step: |out|^2 of every output, the lead amplitudes, and (for
+        # ideal walks) which slots of x held amplitude before the step.
+        probs = np.empty((steps, slots))
+        lead_amps = np.empty((steps, self.lead_count), dtype=self._dtype)
+        held = np.zeros((steps + 1, slots + 1), dtype=bool)
+        held[0] = _abs_sq(x) != 0
 
-        for k in range(1, steps + 1):
-            overrides = schedule.for_step(k) if schedule else {}
+        for k in range(steps):
+            overrides = schedule.for_step(k + 1) if schedule else {}
             W = self._weights_with(overrides) if overrides else self._W
             if self.mode == "exact":
                 out = self._gather_exact(W, x)
             else:
                 out = (W * x[self._S]).sum(axis=1)
             out_sq = _abs_sq(out)
-            probs = out_sq.astype(float, copy=False)
-            edge_probs = zip(self._edge_keys, probs[:edge_modes].tolist())
+            probs[k] = out_sq
+            lead_amps[k] = out[modes:]
             if self.kind == "ideal":
-                live = (x_sq[self._vertex_inputs] != 0).any(axis=1)[self._edge_source]
-                edge_probs = compress(edge_probs, live.tolist())
+                held[k + 1, :modes] = out_sq[:modes] != 0
             x[:modes] = out[:modes]
             x[modes:] = F.zero
-            x_sq[:modes] = out_sq[:modes]
-            x_sq[modes:] = 0
-            lead_cum += probs[modes:]
-            internal = float(probs[:modes].sum())
-            total = internal + float(lead_cum.sum())
-            conservation = max(conservation, abs(total - injected_prob))
-            records.append(
-                WalkStep(
-                    k,
-                    dict(edge_probs),
-                    tuple(out[modes:].tolist()),
-                    tuple(lead_cum.tolist()),
-                    internal,
-                    conservation,
-                )
-            )
-        return WalkResult(records)
+
+        # The lead columns of probs become their running sums in place.
+        lead_cum = np.cumsum(probs[:, modes:], axis=0, out=probs[:, modes:])
+        internal = probs[:, :modes].sum(axis=1)
+        deviation = np.abs(internal + lead_cum.sum(axis=1) - injected_prob)
+        edge_probs = (zip(self._edge_keys, row.tolist()) for row in probs[:, :edge_modes])
+        if self.kind == "ideal":
+            # A step lists only the out-edges of vertices that held
+            # amplitude; an ideal vertex's rows each gather all its inputs.
+            live = held[:-1][:, self._S[:edge_modes]].any(axis=2)
+            edge_probs = map(compress, edge_probs, map(np.ndarray.tolist, live))
+        records = zip(
+            range(1, steps + 1),
+            map(dict, edge_probs),
+            (tuple(amps.tolist()) for amps in lead_amps),
+            (tuple(cum.tolist()) for cum in lead_cum),
+            internal.tolist(),
+            np.maximum.accumulate(deviation).tolist(),
+        )
+        return WalkResult([WalkStep(*fields) for fields in records])
 
 
 def build_network(g: GraphSpec) -> WalkEngine:

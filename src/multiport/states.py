@@ -243,17 +243,8 @@ def merge_occupations(occ1: Occupation, occ2: Occupation, amp, mode: str):
         combined[m] = prev + c
         if prev:
             # binomial(prev + c, c) is one of {2, 3, 4, 6} here
-            amp = amp * exact.field(mode).sqrt_int(_binom(prev + c, c))
+            amp = amp * exact.field(mode).sqrt_int(math.comb(prev + c, c))
     return occupation_key(combined), amp
-
-
-def _binom(n: int, k: int) -> int:
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= n - i
-        den *= i + 1
-    return num // den
 
 
 def apply_port_unitary(unitary, state: MultiPhotonState) -> MultiPhotonState:

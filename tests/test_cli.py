@@ -437,7 +437,7 @@ def _walk_configs(draw):
 
     def phase():
         if fault == "phase" and draw(st.booleans()):
-            return draw(st.sampled_from([0.5, math.nan, math.inf, "x", None]))
+            return draw(st.sampled_from([0.5, math.nan, math.inf, "x", None, 1e16, 1.5e308]))
         if mode == "exact":
             return draw(st.integers(-8, 8)) * math.pi / 4
         return draw(st.floats(-7, 7))
@@ -506,7 +506,7 @@ def _walk_configs(draw):
 @given(
     config=st.one_of(_walk_configs(), st.tuples(st.just("float"), _JUNK)),
     lead=st.integers(-1, 4),
-    steps=st.integers(0, 6),
+    steps=st.sampled_from([*range(7), device._MAX_RECORD_AMPLITUDES + 1]),
 )
 def test_walk_config_never_escapes(config, lead, steps):
     """Generated walk graphs and schedules map to an exit code; nothing
@@ -602,20 +602,22 @@ def test_gate_commands_never_escape(case):
     assert (code == 0) == bool(out.getvalue())
 
 
+_OVER_RECORD_BOUND = str(device._MAX_RECORD_AMPLITUDES + 1)
 _DEVICE_OPTIONS = {
     "--mode": ["exact", "float", "x"],
     "--format": ["json", "csv", "xml"],
     "--n": ["3", "4", "8", "2", "-1", "x", "3.5"],
     "--r": ["0.6i", "i", "inf", "x", "1@0.3"],
     "--t": ["0.8", "0", "nan", "x"],
-    "--mirror-phase": ["0", "0.7853981633974483", "0.5", "nan", "x"],
-    "--edge-phase": ["0", "1.5707963267948966", "0,0,0", "1,x", "inf", ""],
+    "--mirror-phase": ["0", "0.7853981633974483", "0.5", "nan", "x", "1e16", "1.5e308"],
+    "--edge-phase": ["0", "1.5707963267948966", "0,0,0", "1,x", "inf", "", "1e16", "1.5e308"],
     "--max-steps": ["2", "1", "50", "x", "-3"],
 }
 _COMMAND_OPTIONS = {
     "unitary": {**_DEVICE_OPTIONS, "--tol": ["1e-12", "1e-300", "0", "-1", "nan", "inf", "x"]},
     "exits": {**_DEVICE_OPTIONS, "--input": ["A", "C", "Z", "", "ab"],
-              "--steps": ["2", "10", "40", "1", "200", "x"]},
+              "--steps": ["2", "10", "40", "1", "200", "x", _OVER_RECORD_BOUND],
+              "--max-steps": [*_DEVICE_OPTIONS["--max-steps"], _OVER_RECORD_BOUND]},
     "paths": {**_DEVICE_OPTIONS, "--input": ["A", "B", "Z", ""], "--exit": ["A", "C", "7"],
               "--length": ["1", "4", "9", "12", "0", "-2", "x"]},
     "family": {"--format": ["json", "csv", "xml"], "--phi": ["0", "1.2", "nan", "inf", "x"],

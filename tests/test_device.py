@@ -806,3 +806,15 @@ def test_long_time_matrix_bounds_its_residual():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(SpecError):
             long_time_matrix(MultiportSpec(n=3), tol=tol)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_exit_record_above_the_amplitude_bound_is_refused(mode):
+    """n_max x 4n amplitudes one encounter past ``_MAX_RECORD_AMPLITUDES``
+    is refused before anything of that size is built."""
+    n = 3
+    n_max = device._MAX_RECORD_AMPLITUDES // (4 * n) + 1
+    spec = MultiportSpec(n=n, max_steps=n_max, mode=mode)
+    with pytest.raises(SpecError, match="at most"):
+        exit_record(spec, 0, n_max)
+    assert len(exit_record(spec, 0, 4).steps) == 4

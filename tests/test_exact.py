@@ -396,3 +396,13 @@ def test_is_unitary_is_exact_for_exact_matrices():
     off = Matrix(rows, "exact")
     assert off.unitarity_dev() <= 1e-12  # within the float tolerance ...
     assert not off.is_unitary()  # ... but not unitary
+
+
+def test_exact_phase_refuses_magnitudes_off_the_float_grid():
+    """Above 2^50 eighth turns a float no longer resolves the pi/4 grid,
+    and 1.5e308 / (pi/4) overflows; both are refused, not rounded."""
+    for huge in (1e16, -1e16, 1.5e308, -1.5e308):
+        with pytest.raises(SpecError, match="too large"):
+            exact.EXACT.phase(huge)
+    for k in range(-8, 9):
+        assert exact.EXACT.phase(k * math.pi / 4) == exact.eighth_root(k)

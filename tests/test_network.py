@@ -6,14 +6,23 @@ wiring convention, and powers it with numpy.  It shares nothing with the
 engine's sparse stepping.
 """
 
+import json
 import math
 import random
+from itertools import compress
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multiport import exact
-from multiport.device import MultiportSpec, compile_spec, exit_record, grover_coin
+from multiport import cli, exact
+from multiport.device import (
+    _MAX_RECORD_AMPLITUDES,
+    MultiportSpec,
+    compile_spec,
+    exit_record,
+    grover_coin,
+)
 from multiport.errors import SpecError
 from multiport.matrices import Matrix
 from multiport.network import (
@@ -21,10 +30,14 @@ from multiport.network import (
     IdealVertex,
     PhysicalVertex,
     Schedule,
+    WalkStep,
+    _abs_sq,
     build_network,
     coherence_budget,
     run_walk,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_triport(mode="exact"):
@@ -600,3 +613,129 @@ def test_compiled_walk_matches_per_mode_stepping_exact():
             assert set(step.edge_probabilities) == set(edges)
             assert list(step.lead_step_amplitudes) == lead_amps
             assert all(isinstance(a, exact.ExactComplex) for a in step.lead_step_amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# parity with the per-step record loop
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_run(engine, input_lead, steps, schedule=None):
+    """``WalkEngine.run`` as it was before it recorded from per-step
+    arrays: running lead, internal and conservation sums, and one
+    WalkStep built inside the step loop."""
+    F = exact.field(engine.mode)
+    if isinstance(input_lead, int):
+        injection = {input_lead: F.one}
+    else:
+        injection = dict(input_lead)
+    modes, edge_modes = engine._modes, len(engine._edge_keys)
+    x = np.full(engine._S.shape[0] + 1, F.zero, dtype=engine._dtype)
+    for l, amp in injection.items():
+        x[modes + l] = amp
+    x_sq = _abs_sq(x)
+    # Each vertex's input slots, padded with the zero slot, and the vertex
+    # each directed edge mode leaves: edge e = (u, w) is mode 2e toward w
+    # and 2e + 1 toward u.
+    zero_slot = engine._S.shape[0]
+    width = max(len(chans) for chans in engine.channels)
+    vertex_inputs = np.full((len(engine.channels), width), zero_slot)
+    for v, chans in enumerate(engine.channels):
+        vertex_inputs[v, : len(chans)] = [
+            2 * idx + (v == engine._edges[idx][0]) if kind == "edge" else modes + idx
+            for kind, idx in chans
+        ]
+    edge_source = np.array([w for (u, v) in engine._edges for w in (u, v)], dtype=np.intp)
+    lead_cum = np.zeros(engine.lead_count)
+    injected_prob = sum(float(exact.abs_sq(a)) for a in injection.values())
+    conservation = 0.0
+    records = []
+
+    for k in range(1, steps + 1):
+        overrides = schedule.for_step(k) if schedule else {}
+        W = engine._weights_with(overrides) if overrides else engine._W
+        if engine.mode == "exact":
+            out = engine._gather_exact(W, x)
+        else:
+            out = (W * x[engine._S]).sum(axis=1)
+        out_sq = _abs_sq(out)
+        probs = out_sq.astype(float, copy=False)
+        edge_probs = zip(engine._edge_keys, probs[:edge_modes].tolist())
+        if engine.kind == "ideal":
+            live = (x_sq[vertex_inputs] != 0).any(axis=1)[edge_source]
+            edge_probs = compress(edge_probs, live.tolist())
+        x[:modes] = out[:modes]
+        x[modes:] = F.zero
+        x_sq[:modes] = out_sq[:modes]
+        x_sq[modes:] = 0
+        lead_cum += probs[modes:]
+        internal = float(probs[:modes].sum())
+        total = internal + float(lead_cum.sum())
+        conservation = max(conservation, abs(total - injected_prob))
+        records.append(
+            WalkStep(
+                k,
+                dict(edge_probs),
+                tuple(out[modes:].tolist()),
+                tuple(lead_cum.tolist()),
+                internal,
+                conservation,
+            )
+        )
+    return records
+
+
+def _assert_same_records(got, want):
+    """Every field equal under ``==``, floats also equal bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.index == b.index
+        assert list(a.edge_probabilities.items()) == list(b.edge_probabilities.items())
+        assert a.lead_step_amplitudes == b.lead_step_amplitudes
+        assert a.lead_cumulative_probability == b.lead_cumulative_probability
+        assert a.internal_probability == b.internal_probability
+        assert a.conservation_dev == b.conservation_dev
+        floats = [
+            *a.edge_probabilities.values(), *a.lead_cumulative_probability,
+            a.internal_probability, a.conservation_dev,
+        ]
+        want_floats = [
+            *b.edge_probabilities.values(), *b.lead_cumulative_probability,
+            b.internal_probability, b.conservation_dev,
+        ]
+        assert list(map(repr, floats)) == list(map(repr, want_floats))
+        assert [type(v) for v in a.lead_step_amplitudes] == [
+            type(v) for v in b.lead_step_amplitudes
+        ]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_run_matches_stepwise_records(mode):
+    for g, lead, steps, schedule in _parity_cases(mode):
+        engine = build_network(g)
+        _assert_same_records(
+            engine.run(lead, steps, schedule).steps, _stepwise_run(engine, lead, steps, schedule)
+        )
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("walk_*.json")))
+def test_config_walks_match_stepwise_records(name, mode):
+    walk = json.loads((CONFIGS / name).read_text())["walk"]
+    engine = build_network(cli._graph_from_config(walk, mode))
+    schedule = cli._schedule_from_config(walk["schedule"], mode) if "schedule" in walk else None
+    for lead in range(engine.lead_count):
+        for steps in (1, 10, 60):
+            _assert_same_records(
+                engine.run(lead, steps, schedule).steps,
+                _stepwise_run(engine, lead, steps, schedule),
+            )
+
+
+def test_run_refuses_a_record_above_the_bound_before_allocating():
+    engine = build_network(single_triport("float"))
+    slots = engine._S.shape[0]
+    steps = _MAX_RECORD_AMPLITUDES // slots + 1
+    with pytest.raises(SpecError, match="amplitudes"):
+        engine.run(0, steps)
+    assert len(engine.run(0, 2).steps) == 2
