@@ -193,10 +193,18 @@ class ExitRecord:
     conservation_dev: float
 
     def amplitude(self, n: int, port: int):
-        return self.steps[n - 1].amplitudes[port]
+        return step_record(self.steps, n).amplitudes[port]
 
     def cumulative(self, n: int):
-        return self.steps[n - 1].cumulative_probability
+        return step_record(self.steps, n).cumulative_probability
+
+
+def step_record(steps, n: int):
+    """Record n of ``steps``, counting from 1; ``steps[n - 1]`` alone would
+    read n = 0 as the last record."""
+    if not 1 <= n <= len(steps):
+        raise SpecError(f"step {n} is outside 1..{len(steps)}")
+    return steps[n - 1]
 
 
 def step_rows(dev: CompiledMultiport) -> list:

@@ -21,10 +21,13 @@ lead, then one slot that always holds zero.  A step computes
 state's modes followed by one amplitude per lead.  Each physical output
 is one beam-splitter arm and combines exactly two inputs; each ideal
 output combines its vertex's incoming channels, padded with the zero slot
-up to the largest degree.  A float step is one numpy gather,
-``(W * x[S]).sum(axis=1)``; exact mode evaluates the same expression over
-object arrays of ExactComplex.  A scheduled override rebuilds only its
-vertex's rows, in a copy of W used for that step.
+up to the largest degree.  Each distinct vertex is tabulated once, and
+every vertex's rows are placed into S and W by two index maps.  A float
+step is one numpy gather, ``(W * x[S]).sum(axis=1)``; exact mode
+evaluates the same expression over object arrays of ExactComplex.  A
+scheduled override rebuilds only its vertex's rows, in a copy of W.  A
+run writes each step's outputs into one history array, and builds a
+step's WalkStep from its arrays when the step is first read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import exact
-from .device import _MAX_RECORD_AMPLITUDES, MultiportSpec, compile_spec, grover_coin, step_rows
+from .device import _MAX_RECORD_AMPLITUDES, MultiportSpec, compile_spec, grover_coin
+from .device import step_record, step_rows
 from .errors import SpecError
 from .matrices import Matrix
 
@@ -97,12 +101,30 @@ class WalkStep:
     conservation_dev: float
 
 
+class _StepRecords:
+    """A run's WalkSteps, read like a list: ``build(k)`` makes step k's
+    record on its first access, and later accesses return that object."""
+
+    def __init__(self, build, count: int):
+        self._build, self._records = build, [None] * count
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if self._records[k] is None:
+            self._records[k] = self._build(operator.index(k) % len(self))
+        return self._records[k]
+
+
 @dataclass
 class WalkResult:
-    steps: List[WalkStep]
+    steps: Sequence[WalkStep]
 
     def cumulative_exit(self, step_index: int) -> float:
-        return float(sum(self.steps[step_index - 1].lead_cumulative_probability))
+        return float(sum(step_record(self.steps, step_index).lead_cumulative_probability))
 
 
 def _vertex_index(value, count: int, what: str) -> int:
@@ -162,8 +184,26 @@ def _abs_sq(amps: np.ndarray) -> np.ndarray:
     return amps.real * amps.real + amps.imag * amps.imag
 
 
+def _share_key(values) -> tuple:
+    """Vertex parameters as a key, each value with its type: exact mode
+    takes r = 1 but refuses 1.0.  A list becomes a tuple."""
+    return tuple(
+        (tuple(x), tuple(map(type, x))) if isinstance(x, (list, tuple)) else (x, type(x))
+        for x in values
+    )
+
+
+def _amplitude(F: exact.Field, value):
+    """``value`` in the mode's scalar type.  F.scalar keeps an exact int
+    or Fraction as it is; adding zero makes it an ExactComplex."""
+    amp = F.scalar(value) + F.zero
+    if not isinstance(amp, type(F.zero)):
+        raise TypeError(f"{value!r} is not an amplitude")
+    return amp
+
+
 class WalkEngine:
-    """Compiled walk over a GraphSpec; each run owns its state vector."""
+    """Compiled walk over a GraphSpec; each run owns its state history."""
 
     def __init__(self, g: GraphSpec):
         F = exact.field(g.mode)
@@ -176,16 +216,29 @@ class WalkEngine:
         self.graph = g
         self.mode = g.mode
         self.kind = "ideal" if isinstance(g.vertices[0], IdealVertex) else "physical"
-        model = IdealVertex if self.kind == "ideal" else PhysicalVertex
+        ideal = self.kind == "ideal"
+        model = IdealVertex if ideal else PhysicalVertex
         if not all(isinstance(vert, model) for vert in g.vertices):
             raise SpecError("all vertices must share one vertex model")
-        self._params = []  # the coin or CompiledMultiport of every vertex
+        ports = 2 * len(edges) + len(g.leads)  # each with 3 own modes at a physical vertex
+        slots = ports if ideal else 4 * ports
+        if slots > _MAX_RECORD_AMPLITUDES:
+            raise SpecError(
+                f"a walk state holds at most {_MAX_RECORD_AMPLITUDES} amplitudes; "
+                f"this graph has {slots}"
+            )
+        self._dtype = object if self.mode == "exact" else complex
+        fan_in = max(map(len, self.channels)) if ideal else 2
+        # Distinct vertices compile, check and tabulate once.  0.0 and -0.0 may
+        # share a key: a gather's sums start from +0, so the sign is lost.
+        tables, keys = {}, []
         for v, vert in enumerate(g.vertices):
             degree = len(self.channels[v])
-            if self.kind == "ideal":
+            if ideal:
                 if degree == 0:
                     raise SpecError(f"vertex {v} has no edges or leads")
-                self._params.append(self._checked_coin(v, vert.coin))
+                c = vert.coin
+                key = (degree, c.mode, c.rows) if isinstance(c, Matrix) else v
             else:
                 if vert.spec.n != degree:
                     raise SpecError(
@@ -193,7 +246,15 @@ class WalkEngine:
                     )
                 if vert.spec.mode != g.mode:
                     raise SpecError(f"vertex {v}: multiport numeric mode differs from graph")
-                self._params.append(compile_spec(vert.spec))
+                key = _share_key(vars(vert.spec).values())
+            try:
+                shared = key in tables
+            except TypeError:  # an unhashable parameter compiles on its own
+                key, shared = v, False
+            if not shared:
+                params = self._checked_coin(v, vert.coin) if ideal else compile_spec(vert.spec)
+                tables[key] = self._local_rows(params, fan_in)
+            keys.append(key)
 
         self.lead_count = len(g.leads)
         self.inter_vertex_mode_count = 2 * len(edges)
@@ -202,38 +263,48 @@ class WalkEngine:
         # 2n mirror-stub modes (into and back out of each stub).  The state
         # vector below folds each mirror round trip into one mode, so it
         # holds 3n per vertex.
-        if self.kind == "physical":
-            self.intra_vertex_mode_count = sum(4 * v.spec.n for v in g.vertices)
-        else:
-            self.intra_vertex_mode_count = 0
+        self.intra_vertex_mode_count = 0 if ideal else 4 * ports
 
         # State layout: directed edge e = (u, w) is mode 2e toward w and
-        # 2e + 1 toward u; physical vertex v then owns cw, ccw and mirror
-        # modes from _intra_base[v]; lead l's input slot and output row are
-        # both _modes + l; the last slot of x stays zero.
+        # 2e + 1 toward u; physical vertex v then owns its cw, ccw and
+        # mirror modes; lead l's input slot and output row are both
+        # _modes + l; the last slot stays zero.  The placement maps hold
+        # vertex v's local modes (see _local_rows) from offsets[v].
         self._edges = edges
         self._edge_keys = [(e, w) for e, (u, v) in enumerate(edges) for w in (v, u)]
-        base = len(self._edge_keys)
-        self._intra_base = []
-        for vert in g.vertices:
-            self._intra_base.append(base)
-            if self.kind == "physical":
-                base += 3 * vert.spec.n
-        self._modes = base
-        zero_slot = base + self.lead_count
-        self._dtype = object if self.mode == "exact" else complex
+        self._modes = slots - self.lead_count
+        zero_slot = slots
+        src_map, out_map, offsets = [], [], []
+        own = range(len(self._edge_keys))
+        for v, chans in enumerate(self.channels):
+            own = range(own.stop, own.stop if ideal else own.stop + 3 * len(chans))
+            sources = [
+                2 * idx + (v == edges[idx][0]) if kind == "edge" else self._modes + idx
+                for kind, idx in chans
+            ]
+            offsets.append(len(src_map))
+            src_map += [*own, *sources, zero_slot]
+            # A lead's slot is its input and its output; an edge's two modes
+            # differ in their last bit.
+            out_map += [*own, *(s ^ 1 if s < self._modes else s for s in sources), zero_slot]
+        counts = [len(tables[k][0]) for k in keys]
+        shift = np.repeat(offsets, counts)
+        outs, srcs, weights = (np.concatenate(part) for part in zip(*(tables[k] for k in keys)))
+        rows = np.array(out_map)[outs + shift]
+        # Vertex v's rows of S and W, in its local order; an override's
+        # rows come in the same order.
+        self._rows = np.split(rows, np.cumsum(counts)[:-1])
 
-        rows = [row for v in range(len(g.vertices)) for row in self._vertex_rows(v, self._params[v])]
-        fan_in = max(len(terms) for _out, terms in rows)
         # Column-major, so that the sum over the short fan-in axis runs as
         # k whole-column adds (about 3x faster than row-major here).
-        self._S = np.full((zero_slot, fan_in), zero_slot, dtype=np.intp, order="F")
-        self._W = np.full(
-            (zero_slot, fan_in), F.zero, dtype=self._dtype, order="F"
-        )
-        for out, terms in rows:
-            self._S[out, : len(terms)] = [src for src, _w in terms]
-            self._W[out, : len(terms)] = [w for _src, w in terms]
+        self._S = np.full((slots, fan_in), zero_slot, dtype=np.intp, order="F")
+        self._W = np.full((slots, fan_in), F.zero, dtype=self._dtype, order="F")
+        self._S[rows] = np.array(src_map)[srcs + shift[:, None]]
+        self._W[rows] = weights
+        # From step 2 on, a lead's input slot reads as the zero slot: leads
+        # absorb, and their slots then hold the step's exits.
+        self._S_after = self._S.copy(order="F")
+        self._S_after[(self._S >= self._modes) & (self._S < zero_slot)] = zero_slot
 
     # -- compiling -------------------------------------------------------
 
@@ -249,38 +320,26 @@ class WalkEngine:
             raise SpecError(f"vertex {v}: coin is not unitary")
         return coin
 
-    def _vertex_rows(self, v: int, params):
-        """(output, ((source, weight), ...)) for every output of vertex v.
-
-        Its own rows run over its own modes, then one slot per port: a
-        multiport's ``device.step_rows`` over 3n modes, or a coin's row q,
-        gathering port p with weight coin[q][p], over none.  Own mode i is
-        placed at _intra_base[v] + i, and port slot p at channel p's
-        incoming mode as a source and its outgoing mode as an output."""
+    def _local_rows(self, params, fan_in: int):
+        """A vertex's rows as (outputs, sources, weights) arrays of fan_in
+        terms over its own modes, one slot per port and a padding slot: a
+        multiport's ``device.step_rows`` over 3n own modes, or a coin's row
+        q, gathering port p with weight coin[q][p], over none."""
         if self.kind == "ideal":
-            own = 0
-            rows = [(q, [(p, w, ()) for p, w in enumerate(r)]) for q, r in enumerate(params.rows)]
-        else:
-            own = 3 * params.n
+            d, pad = params.dim, fan_in - params.dim
+            outs, srcs = range(d), [*range(d), *[d] * pad] * d
+            filler = [exact.field(self.mode).zero] * pad
+            weights = [w for r in params.rows for w in (*r, *filler)]
+        else:  # every row of a multiport has fan_in = 2 terms
             rows = step_rows(params)
-        base = self._intra_base[v]
-        sources = [
-            2 * idx + (v == self._edges[idx][0]) if kind == "edge" else self._modes + idx
-            for kind, idx in self.channels[v]
-        ]
-        # A lead's slot is its input and its output; an edge's two modes
-        # differ in their last bit.
-        outputs = [src ^ 1 if src < self._modes else src for src in sources]
-        return [
-            (
-                base + out if out < own else outputs[out - own],
-                tuple(
-                    (base + src if src < own else sources[src - own], w)
-                    for src, w, _symbol in terms
-                ),
-            )
-            for out, terms in rows
-        ]
+            outs = [out for out, _terms in rows]
+            srcs = [src for _out, terms in rows for src, _w, _sym in terms]
+            weights = [w for _out, terms in rows for _src, w, _sym in terms]
+        return (
+            np.array(outs, dtype=np.intp),
+            np.array(srcs, dtype=np.intp).reshape(-1, fan_in),
+            np.array(weights, dtype=self._dtype).reshape(-1, fan_in),
+        )
 
     def _override_params(self, v: int, override):
         if self.kind == "ideal":
@@ -304,16 +363,16 @@ class WalkEngine:
         """A copy of W with the overridden vertices' rows rebuilt."""
         W = self._W.copy(order="F")
         for v, override in overrides.items():
-            for out, terms in self._vertex_rows(v, self._override_params(v, override)):
-                W[out, : len(terms)] = [w for _src, w in terms]
+            W[self._rows[v]] = self._local_rows(self._override_params(v, override), W.shape[1])[2]
         return W
 
-    def _gather_exact(self, W: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``(W * x[S]).sum(axis=1)`` over the nonzero terms only.
+    def _gather_exact(self, W: np.ndarray, x: np.ndarray, S=None) -> np.ndarray:
+        """``(W * x[S]).sum(axis=1)`` over the nonzero terms only; S is the
+        engine's own unless given.
 
         An ExactComplex product is 64 integer products and one gcd, and
         most of a sparse walk state and every padding weight are zero."""
-        S = self._S
+        S = self._S if S is None else S
         rows, cols = np.nonzero(W.astype(bool) & x.astype(bool)[S])
         out = np.full(S.shape[0], exact.ZERO, dtype=object)
         for r, w, a in zip(rows.tolist(), W[rows, cols].tolist(), x[S[rows, cols]].tolist()):
@@ -338,10 +397,13 @@ class WalkEngine:
                 f"{steps} steps x {slots} slots is {steps * slots}"
             )
         F = exact.field(self.mode)
-        if isinstance(input_lead, int):
-            injection = {input_lead: F.one}
-        else:
-            injection = dict(input_lead)
+        try:
+            pairs = {input_lead: F.one} if isinstance(input_lead, int) else dict(input_lead)
+            injection = {operator.index(l): _amplitude(F, amp) for l, amp in pairs.items()}
+        except (TypeError, ValueError):
+            raise SpecError(
+                f"an injection is a lead or maps leads to amplitudes, got {input_lead!r}"
+            ) from None
         for l in injection:
             if not 0 <= l < self.lead_count:
                 raise SpecError(f"no lead {l}")
@@ -349,53 +411,57 @@ class WalkEngine:
             for per_vertex in schedule.overrides.values():
                 for v in per_vertex:
                     _vertex_index(v, len(self.graph.vertices), "schedule override")
+        overrides = map(schedule.for_step, range(1, steps + 1)) if schedule else [{}] * steps
+        weights = [self._weights_with(o) if o else self._W for o in overrides]
 
-        modes, edge_modes = self._modes, len(self._edge_keys)
-        x = np.full(slots + 1, F.zero, dtype=self._dtype)
+        # Row k of the history is the state before step k + 1: the modes,
+        # then (row 0) the injection or (later rows) the exits, then zero.
+        modes = self._modes
+        hist = np.full((steps + 1, slots + 1), F.zero, dtype=self._dtype)
         for l, amp in injection.items():
-            x[modes + l] = amp
+            hist[0, modes + l] = amp
         injected_prob = sum(float(exact.abs_sq(a)) for a in injection.values())
-        # Per step: |out|^2 of every output, the lead amplitudes, and (for
-        # ideal walks) which slots of x held amplitude before the step.
-        probs = np.empty((steps, slots))
-        lead_amps = np.empty((steps, self.lead_count), dtype=self._dtype)
-        held = np.zeros((steps + 1, slots + 1), dtype=bool)
-        held[0] = _abs_sq(x) != 0
+        if self.mode == "exact":
+            for k, (W, x) in enumerate(zip(weights, hist)):
+                hist[k + 1, :slots] = self._gather_exact(W, x, self._S_after if k else self._S)
+        else:
+            buf = np.empty_like(self._W)
+            for k, (W, x, out) in enumerate(zip(weights, hist, hist[1:, :slots])):
+                np.multiply(W, x[self._S_after if k else self._S], out=buf)
+                np.add.reduce(buf, axis=1, out=out)
 
-        for k in range(steps):
-            overrides = schedule.for_step(k + 1) if schedule else {}
-            W = self._weights_with(overrides) if overrides else self._W
-            if self.mode == "exact":
-                out = self._gather_exact(W, x)
-            else:
-                out = (W * x[self._S]).sum(axis=1)
-            out_sq = _abs_sq(out)
-            probs[k] = out_sq
-            lead_amps[k] = out[modes:]
-            if self.kind == "ideal":
-                held[k + 1, :modes] = out_sq[:modes] != 0
-            x[:modes] = out[:modes]
-            x[modes:] = F.zero
-
+        lead_amps = hist[1:, modes:slots].copy()
+        # probs is |out|^2 in floats; nonzero is nonzero where out is.
+        if self.mode == "exact":
+            nonzero = hist.astype(bool)
+            probs = np.zeros(hist.shape)
+            probs[nonzero] = _abs_sq(hist[nonzero])
+        else:
+            # |a|^2 as _abs_sq forms it, with im^2 written over im.
+            nonzero = probs = hist.real * hist.real
+            probs += np.multiply(hist.imag, hist.imag, out=hist.imag)
+        del hist
         # The lead columns of probs become their running sums in place.
-        lead_cum = np.cumsum(probs[:, modes:], axis=0, out=probs[:, modes:])
-        internal = probs[:, :modes].sum(axis=1)
-        deviation = np.abs(internal + lead_cum.sum(axis=1) - injected_prob)
-        edge_probs = (zip(self._edge_keys, row.tolist()) for row in probs[:, :edge_modes])
+        lead_cum = np.cumsum(probs[1:, modes:slots], axis=0, out=probs[1:, modes:slots])
+        internal = probs[1:, :modes].sum(axis=1)
+        deviation = np.maximum.accumulate(np.abs(internal + lead_cum.sum(axis=1) - injected_prob))
+        keys, live = self._edge_keys, None
+        edge_probs = probs[1:, : len(keys)]
         if self.kind == "ideal":
             # A step lists only the out-edges of vertices that held
-            # amplitude; an ideal vertex's rows each gather all its inputs.
-            live = held[:-1][:, self._S[:edge_modes]].any(axis=2)
-            edge_probs = map(compress, edge_probs, map(np.ndarray.tolist, live))
-        records = zip(
-            range(1, steps + 1),
-            map(dict, edge_probs),
-            (tuple(amps.tolist()) for amps in lead_amps),
-            (tuple(cum.tolist()) for cum in lead_cum),
-            internal.tolist(),
-            np.maximum.accumulate(deviation).tolist(),
-        )
-        return WalkResult([WalkStep(*fields) for fields in records])
+            # amplitude; an ideal vertex's rows each gather all its inputs,
+            # and leads hold none after step 1.
+            held = nonzero.astype(bool)
+            held[1:, modes:slots] = False
+            live = held[:-1][:, self._S[: len(keys)]].any(axis=2)
+
+        def record(k: int) -> WalkStep:
+            edges = zip(keys, edge_probs[k].tolist())
+            edges = dict(edges if live is None else compress(edges, live[k].tolist()))
+            amps, cum = tuple(lead_amps[k].tolist()), tuple(lead_cum[k].tolist())
+            return WalkStep(k + 1, edges, amps, cum, float(internal[k]), float(deviation[k]))
+
+        return WalkResult(_StepRecords(record, steps))
 
 
 def build_network(g: GraphSpec) -> WalkEngine:

@@ -818,3 +818,17 @@ def test_exit_record_above_the_amplitude_bound_is_refused(mode):
     with pytest.raises(SpecError, match="at most"):
         exit_record(spec, 0, n_max)
     assert len(exit_record(spec, 0, 4).steps) == 4
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_exit_record_refuses_encounters_outside_the_record(mode):
+    """Encounters count from 1: encounter 0 and encounter len + 1 are
+    refused, not read as the last and an IndexError."""
+    rec = exit_record(MultiportSpec(n=3, mode=mode), 0, 5)
+    assert rec.cumulative(5) == rec.steps[-1].cumulative_probability
+    assert rec.amplitude(1, 2) == rec.steps[0].amplitudes[2]
+    for n in (0, -1, 6):
+        with pytest.raises(SpecError, match="outside 1..5"):
+            rec.cumulative(n)
+        with pytest.raises(SpecError, match="outside 1..5"):
+            rec.amplitude(n, 0)

@@ -9,13 +9,16 @@ engine's sparse stepping.
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from multiport import cli, exact
+from multiport import cli, exact, network
 from multiport.device import (
     _MAX_RECORD_AMPLITUDES,
     MultiportSpec,
@@ -739,3 +742,197 @@ def test_run_refuses_a_record_above_the_bound_before_allocating():
     with pytest.raises(SpecError, match="amplitudes"):
         engine.run(0, steps)
     assert len(engine.run(0, 2).steps) == 2
+
+
+# ---------------------------------------------------------------------------
+# records read on access, generated walks, refused inputs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _walk_cases(draw):
+    """(graph, injection, steps, schedule) for a small connected graph of
+    ideal or physical vertices in either mode.  Each vertex is the
+    reference one (so that equal vertices share a compile) or a seeded
+    random one; the injection is one lead or up to three of them with
+    amplitudes (of total probability 1 in float mode); the schedule may
+    be none."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mode = draw(st.sampled_from(["float", "exact"]))
+    ideal = draw(st.booleans())
+    count = draw(st.integers(1, 4))
+    edges = _random_tree(rng, count, draw(st.integers(0, 2)))
+    degree = _edge_degrees(count, edges)
+    extra = draw(st.lists(st.integers(0, 2), min_size=count, max_size=count))
+    leads = [v for v in range(count) for _ in range(max((1 if ideal else 3) - degree[v], extra[v]))]
+    leads = leads or [0]
+    rng.shuffle(leads)
+    degree = [d + leads.count(v) for v, d in enumerate(degree)]
+    vertices = []
+    for d in degree:
+        if ideal:
+            plain = grover_coin(d, mode) if d > 1 else Matrix.identity(1, mode)
+            vertex = IdealVertex(_random_coin(rng, d, mode) if draw(st.booleans()) else plain)
+        else:
+            spec = MultiportSpec(n=d, mode=mode)
+            vertex = PhysicalVertex(_random_device(rng, d, mode) if draw(st.booleans()) else spec)
+        vertices.append(vertex)
+    g = GraphSpec(vertices=vertices, edges=edges, leads=leads, mode=mode)
+    steps = draw(st.integers(1, 8 if mode == "exact" else 30))
+    if draw(st.booleans()):
+        injection = rng.randrange(len(leads))
+    else:
+        chosen = rng.sample(range(len(leads)), min(len(leads), draw(st.integers(1, 3))))
+        if mode == "exact":
+            injection = {l: exact.eighth_root(rng.randrange(8)) * exact.INV_SQRT2 for l in chosen}
+        else:
+            amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in chosen]
+            norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+            injection = {l: a / norm for l, a in zip(chosen, amps)}
+    schedule = _random_schedule(rng, vertices, steps, mode) if draw(st.booleans()) else None
+    return g, injection, steps, schedule
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_walk_cases())
+def test_generated_walks_match_stepwise_and_per_mode_records(case):
+    """Generated graphs, injections and schedules: every record equals the
+    per-step record loop's bit for bit (signed zeros of the lead
+    amplitudes too), and the per-mode dict stepping's edges and lead
+    amplitudes (under == in exact mode)."""
+    g, injection, steps, schedule = case
+    engine = build_network(g)
+    got = engine.run(injection, steps, schedule).steps
+    want = _stepwise_run(engine, injection, steps, schedule)
+    _assert_same_records(got, want)
+    assert [repr(s.lead_step_amplitudes) for s in got] == [
+        repr(s.lead_step_amplitudes) for s in want
+    ]
+    for step, (edges, lead_amps, *_sums) in zip(got, _reference_run(g, injection, steps, schedule)):
+        assert set(step.edge_probabilities) == set(edges)
+        if g.mode == "exact":
+            assert list(step.lead_step_amplitudes) == lead_amps
+        else:
+            assert max(map(abs, np.subtract(step.lead_step_amplitudes, lead_amps))) < 1e-12
+
+
+def _grover_ring(count, mode="float"):
+    vertices, edges, leads = _ring_graph(count, lambda d: IdealVertex(grover_coin(d, mode)))
+    return GraphSpec(vertices=vertices, edges=edges, leads=leads, mode=mode)
+
+
+def test_step_records_read_like_a_list():
+    """``WalkResult.steps`` has a length, negative indexes, slices and
+    IndexError past either end; a record read twice is one object, so a
+    change to it stays; records read in any order equal the per-step
+    record loop's."""
+    engine = build_network(_grover_ring(5))
+    steps = 12
+    want = _stepwise_run(engine, 1, steps)
+    records = engine.run(1, steps).steps
+    assert len(records) == steps
+    assert records[-1] is records[steps - 1] and records[-steps] is records[0]
+    assert all(a is b for a, b in zip(records[2:9:3], (records[2], records[5], records[8])))
+    assert all(a is b for a, b in zip(records[::-1], reversed(records), strict=True))
+    assert records[steps:] == [] and len(records[-3:]) == 3
+    for k in (steps, -steps - 1):
+        with pytest.raises(IndexError):
+            records[k]
+    record = records[4]
+    record.internal_probability -= 1e-6
+    assert records[4] is record
+    assert records[4].internal_probability == want[4].internal_probability - 1e-6
+    assert [s.index for s in records] == list(range(1, steps + 1))
+
+    backwards = engine.run(1, steps).steps
+    _assert_same_records([backwards[k] for k in range(-1, -steps - 1, -1)], want[::-1])
+    order = list(range(steps))
+    random.Random(3).shuffle(order)
+    shuffled = engine.run(1, steps).steps
+    _assert_same_records([shuffled[k] for k in order], [want[k] for k in order])
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_cumulative_exit_refuses_steps_outside_the_walk(mode):
+    """Steps count from 1: step 0 used to read as the last step."""
+    res = build_network(single_triport(mode)).run(0, 5)
+    assert res.cumulative_exit(5) == pytest.approx(0.875, abs=1e-15)
+    assert res.cumulative_exit(1) == 0.0
+    for k in (0, -1, 6):
+        with pytest.raises(SpecError, match="outside 1..5"):
+            res.cumulative_exit(k)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_injection_values_take_the_mode_scalar_type(mode):
+    """An injected amplitude converts to the mode's scalar type, so an int
+    (and, in exact mode, a Fraction) is taken like the same ExactComplex
+    or complex; a lead that is not an index, a value that does not
+    convert and an absent lead are refused with SpecError."""
+    engine = build_network(single_triport(mode))
+    one = exact.field(mode).one
+    want = _stepwise_run(engine, {0: one}, 6)
+    _assert_same_records(engine.run({0: 1}, 6).steps, want)
+    _assert_same_records(engine.run({np.int64(0): True}, 6).steps, want)
+    half = engine.run({2: Fraction(1, 2)}, 6).steps
+    _assert_same_records(half, _stepwise_run(engine, {2: one / 2}, 6))
+    bad = [{1.0: 1}, {0: "x"}, {0: None}, {0: [1]}, {"0": 1}, "0", 1.5, {5: 1}, {-1: 1}]
+    if mode == "exact":
+        bad += [{0: 0.5 + 0j}, {0: 0.5}]
+    for injection in bad:
+        with pytest.raises(SpecError):
+            engine.run(injection, 3)
+
+
+@pytest.mark.parametrize("ideal", [True, False])
+def test_graph_above_the_amplitude_bound_is_refused(monkeypatch, ideal):
+    """A graph whose state (2E + sum 3n + L slots) exceeds the record bound
+    could never run one step; it is refused before anything is compiled
+    or allocated."""
+    if ideal:
+        g = _grover_ring(3)
+    else:
+        vertices, edges, leads = _ring_graph(3, lambda d: PhysicalVertex(MultiportSpec(n=d)))
+        g = GraphSpec(vertices=vertices, edges=edges, leads=leads)
+    slots = build_network(g)._S.shape[0]
+    assert slots == (9 if ideal else 36)
+    monkeypatch.setattr(network, "_MAX_RECORD_AMPLITUDES", slots)
+    assert len(build_network(g).run(0, 1).steps) == 1
+    monkeypatch.setattr(network, "_MAX_RECORD_AMPLITUDES", slots - 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a graph above the bound")
+
+    monkeypatch.setattr(network, "compile_spec", refuse)
+    monkeypatch.setattr(network.np, "full", refuse)
+    with pytest.raises(SpecError, match="walk state holds at most"):
+        build_network(g)
+
+
+def test_equal_vertices_compile_once_and_unhashable_ones_apart(monkeypatch):
+    """Equal multiport specs and equal coins compile and check once per
+    build; a parameter that cannot be hashed (a 0-d array) compiles on its
+    own and walks like the plain value."""
+    calls = {"compile": 0, "unitarity": 0}
+    compile_spec_, unitarity_dev = network.compile_spec, Matrix.unitarity_dev
+
+    def counted_compile(spec):
+        calls["compile"] += 1
+        return compile_spec_(spec)
+
+    def counted_unitarity(coin):
+        calls["unitarity"] += 1
+        return unitarity_dev(coin)
+
+    monkeypatch.setattr(network, "compile_spec", counted_compile)
+    monkeypatch.setattr(Matrix, "unitarity_dev", counted_unitarity)
+    vertices, edges, leads = _ring_graph(6, lambda d: PhysicalVertex(MultiportSpec(n=d)))
+    plain = build_network(GraphSpec(vertices=vertices, edges=edges, leads=leads))
+    build_network(_grover_ring(6))
+    assert calls == {"compile": 1, "unitarity": 1}
+    r = np.array(1j / math.sqrt(2))
+    vertices[2] = PhysicalVertex(MultiportSpec(n=3, r=r))
+    vertices[4] = PhysicalVertex(MultiportSpec(n=3, r=r))
+    odd = build_network(GraphSpec(vertices=vertices, edges=edges, leads=leads))
+    assert calls["compile"] == 4
+    _assert_same_records(odd.run(2, 20).steps, plain.run(2, 20).steps)
