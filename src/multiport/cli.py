@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import bell, device, exact, feasibility, network
@@ -325,25 +326,10 @@ def cmd_family(args, cfg):
 
 def cmd_bell_table(args, cfg):
     mode = resolve_mode(args, cfg)
-    table = bell.full_truth_table(mode=mode)
-    rows = [
-        {
-            "input": r.input,
-            "control": r.control,
-            "out_s": r.out_s,
-            "out_o": r.out_o,
-            "prob_s": r.prob_s,
-            "prob_o": r.prob_o,
-        }
-        for r in table.rows
-    ]
+    rows = [asdict(r) for r in bell.full_truth_table(mode=mode).rows]
     data = {"rows": rows, "input_pair": "AB", "control_pair": "AC", "output_pair": "BC"}
     header = ("input", "control", "out_s", "out_o", "prob_s", "prob_o")
-    table = (
-        [r["input"], r["control"], r["out_s"], r["out_o"], repr(r["prob_s"]), repr(r["prob_o"])]
-        for r in rows
-    )
-    return data, header, table
+    return data, header, ([r[k] for k in header] for r in rows)
 
 
 def cmd_group_table(args, cfg):
@@ -353,14 +339,7 @@ def cmd_group_table(args, cfg):
         "condition": args.condition,
         "elements": list(table.elements),
         "table": table.as_grid(),
-        "axioms": {
-            "closure": table.axioms.closure,
-            "commutative": table.axioms.commutative,
-            "identity": table.axioms.identity,
-            "self_inverse": table.axioms.self_inverse,
-            "klein_isomorphic": table.axioms.klein_isomorphic,
-            "violations": list(table.axioms.violations),
-        },
+        "axioms": asdict(table.axioms),
     }
     grid = ([a] + row for a, row in zip(table.elements, table.as_grid()))
     return data, [""] + list(table.elements), grid
@@ -371,17 +350,7 @@ def cmd_cnot(args, cfg):
     rows = bell.cnot_table(mode=mode)
     data = {
         "encoding": {"0": "+ symmetry", "1": "- symmetry"},
-        "rows": [
-            {
-                "input_bit": r.input_bit,
-                "control_bit": r.control_bit,
-                "output_bit": r.output_bit,
-                "input": r.input,
-                "control": r.control,
-                "output": r.output,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
     }
     header = ("input_bit", "control_bit", "output_bit", "input", "control", "output")
     return data, header, ([getattr(r, k) for k in header] for r in rows)
@@ -404,6 +373,14 @@ def _config_coin(coin, dim, mode) -> Matrix:
     return Matrix([[parse_complex(x) for x in row] for row in coin], "float")
 
 
+def _only_keys(entry: dict, read, what) -> dict:
+    """``entry``, refused when it holds a key that is never read from it."""
+    unread = sorted(entry.keys() - set(read))
+    if unread:
+        raise ConfigError(f"{what} has unknown keys: {', '.join(unread)}")
+    return entry
+
+
 def _vertex_ref(value, what) -> int:
     """A vertex named in the config: an integer (the graph checks the range)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -418,11 +395,13 @@ def _graph_from_config(gcfg, mode) -> network.GraphSpec:
             if not isinstance(v, dict):
                 raise ConfigError(f"vertex must be an object, got {v!r}")
             if "coin" in v:
+                _only_keys(v, ("coin", "dim"), "a coin vertex")
                 vertices.append(network.IdealVertex(_config_coin(v["coin"], v.get("dim"), mode)))
             elif "multiport" in v:
-                d = v["multiport"]
+                d = _only_keys(v, ("multiport",), "a multiport vertex")["multiport"]
                 if not isinstance(d, dict):
                     raise ConfigError(f"multiport entry must be an object, got {d!r}")
+                _only_keys(d, ("n", "mirror_phase", "r", "t", "edge_phase"), "a multiport entry")
                 kwargs = {"n": _read_int(d.get("n", 3), "port count"), "mode": mode}
                 if "mirror_phase" in d:
                     kwargs["mirror_factor"] = _mirror_factor(d["mirror_phase"], mode)
@@ -462,8 +441,10 @@ def _schedule_from_config(scfg, graph_mode) -> network.Schedule:
                 if not isinstance(ov, dict):
                     raise ConfigError(f"schedule step {step}: override must be an object")
                 if "coin" in ov:
+                    _only_keys(ov, ("coin", "dim"), f"schedule step {step}: a coin override")
                     inner[int(v)] = _config_coin(ov["coin"], ov.get("dim"), graph_mode)
                     continue
+                _only_keys(ov, ("r", "t", "mirror_phase"), f"schedule step {step}: an override")
                 params = {}
                 if "r" in ov or "t" in ov:
                     if graph_mode == "exact":
@@ -535,23 +516,9 @@ def cmd_feasibility(args, cfg):
         spectral_width=value(args.dnu, "spectral_width"),
         detector_time=value(args.td, "detector_time"),
     )
-    data = {
-        "d": budget.d,
-        "refractive_index": budget.refractive_index,
-        "transit_time": budget.transit_time,
-        "decay_time": budget.decay_time,
-        "max_sampling_rate": budget.max_sampling_rate,
-        "pulse_duration": budget.pulse_duration,
-        "spectral_width": budget.spectral_width,
-        "coherence_time": budget.coherence_time,
-        "coherence_length": budget.coherence_length,
-        "detector_time": budget.detector_time,
-        "phase_spread": budget.phase_spread,
-        "constraints_ok": budget.constraints_ok,
-        "violations": list(budget.violations),
-    }
+    data = asdict(budget)
     header = sorted(k for k in data if k != "violations")
-    return data, header, ([repr(data[k]) if isinstance(data[k], float) else data[k] for k in header],)
+    return data, header, ([data[k] for k in header],)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ vertex's edge-E meets the next vertex's edge-S, closing the polygon.
 ``step_rows`` writes this rule down once, as the rows of one step over
 a device's local modes, with the mirror and edge factors folded into the
 weights and the path letters attached.  Everything else reads those rows:
-``dense_step_operators`` fills the one-step matrices from them,
-``exit_record`` and exact ``steady_state`` step a sparse state through
-them, exact ``long_time_matrix`` builds its reachable subspace with
-them, ``enumerate_paths`` searches them, and a physical walk vertex
-(``network``) places them in the walk's state vector.
+``gather_table`` makes them one gather table, which ``gather_steps``, the
+one stepping kernel, runs for ``exit_record``, exact ``steady_state`` and
+every walk (``network``); the one-step matrices and physical walk vertices
+are filled from the table, exact ``long_time_matrix`` steps a sparse state
+through the rows, and ``enumerate_paths`` searches them.
 
 One step is one segment traversal: an inter-vertex edge, or the full
 mirror round trip (both take the same time).  N counts beam-splitter
@@ -260,32 +260,59 @@ def _check_port(dev: CompiledMultiport, port: int, what: str) -> None:
         raise SpecError(f"{what} port {port} outside the device")
 
 
-def _encounters(dev: CompiledMultiport, input_port: int):
-    """Step one photon into an exact device's ``input_port`` through the step rows.
+def gather_table(dev: CompiledMultiport):
+    """The step rows as one gather table (S, W) over the 4n local modes of
+    ``step_rows``: output o of a step is ``sum_j W[o, j] * x[S[o, j]]``."""
+    terms = [term for _out, row in sorted(step_rows(dev)) for term in row]  # 2 per output
+    srcs, weights, _symbols = zip(*terms)
+    S = np.array(srcs, dtype=np.intp).reshape(-1, 2)
+    return S, np.array(weights, dtype=object if dev.mode == "exact" else complex).reshape(-1, 2)
 
-    Yields, per encounter N = 1, 2, ..., its ExitStep, the probability
-    still inside the device and the largest conservation deviation so far.
-    The state holds only the modes whose amplitude is not zero.
-    """
-    n = dev.n
-    successors = _successors(step_rows(dev))
-    zero = exact.ZERO
-    state = {3 * n + input_port: exact.ONE}
-    cumulative = zero
-    conservation = 0.0
-    for k in itertools.count(1):
-        new = _sparse_step(successors, state)
-        exits = tuple(new.pop(3 * n + p, zero) for p in range(n))
-        state = {mode: a for mode, a in new.items() if not a.is_zero()}
-        step_prob = sum((exact.abs_sq(a) for a in exits), zero)
-        cumulative = cumulative + step_prob
-        internal = sum((exact.abs_sq(a) for a in state.values()), zero)
-        conservation = max(conservation, abs(float(internal + cumulative) - 1.0))
-        yield ExitStep(k, exits, step_prob, cumulative), internal, conservation
+
+def gather_steps(S: np.ndarray, weights, hist: np.ndarray, inputs: int) -> None:
+    """The package's one stepping kernel: row k + 1 of ``hist`` begins with
+    row k stepped through (S, weights[k]), ``sum_j W[i, j] * x[S[i, j]]``.
+    Column S.shape[0] stays zero; the slots from ``inputs`` up to it hold the
+    injection in row 0 and each step's outputs later, so only step 1 reads
+    them.  An exact step is ``_gather_exact``."""
+    slots = S.shape[0]
+    S_after = S.copy(order="F")
+    S_after[(S >= inputs) & (S < slots)] = slots
+    if hist.dtype == object:
+        for k, (W, x) in enumerate(zip(weights, hist)):
+            hist[k + 1, :slots] = _gather_exact(W, x, S_after if k else S)
+    else:
+        buf = np.empty(S.shape, dtype=complex, order="F")
+        for k, (W, x, out) in enumerate(zip(weights, hist, hist[1:, :slots])):
+            np.multiply(W, x[S_after if k else S], out=buf)
+            np.add.reduce(buf, axis=1, out=out)
+
+
+def _gather_exact(W: np.ndarray, x: np.ndarray, S: np.ndarray) -> list:
+    """``(W * x[S]).sum(axis=1)`` over ExactComplex, as a list, taking only
+    the terms whose input is not zero: a product is 64 integer products
+    and one gcd, and most of a sparse state is zero."""
+    rows, cols = np.nonzero(x.astype(bool)[S])
+    out = [exact.ZERO] * S.shape[0]
+    for r, w, a in zip(rows.tolist(), W[rows, cols].tolist(), x[S[rows, cols]].tolist()):
+        term = w * a
+        out[r] = term if out[r] is exact.ZERO else out[r] + term
+    return out
+
+
+def _probabilities(rows) -> list:
+    """The sum of |a|^2 over each of ``rows``: by numpy for a complex array,
+    else exactly, skipping zeros (each would cost an addition and a gcd)."""
+    if isinstance(rows, np.ndarray) and rows.dtype == complex:
+        return (rows.real * rows.real + rows.imag * rows.imag).sum(axis=1).tolist()
+    probs = [[a.abs_sq() for a in row if a] for row in rows]
+    return [sum(p[1:], p[0]) if p else exact.ZERO for p in probs]
 
 
 def exit_record(spec: MultiportSpec, input_port: int, n_max: int) -> ExitRecord:
-    """Exit amplitudes at each port for encounters N = 1..n_max."""
+    """Exit amplitudes at each port for encounters N = 1..n_max: step N of
+    ``gather_steps`` from the photon in its input slot (nothing exits at
+    N = 1).  Conservation is measured at every encounter."""
     if n_max < 2:
         raise SpecError("n_max must be at least 2")
     dev = compile_spec(spec)
@@ -297,41 +324,17 @@ def exit_record(spec: MultiportSpec, input_port: int, n_max: int) -> ExitRecord:
             f"{n_max} encounters x {4 * dev.n} is {n_max * 4 * dev.n}"
         )
     _check_port(dev, input_port, "input")
-    if dev.mode == "float":
-        return _exit_record_dense(dev, input_port, n_max)
-    steps = []
-    for step, _internal, conservation in itertools.islice(
-        _encounters(dev, input_port), n_max
-    ):
-        steps.append(step)
-    return ExitRecord(input_port, dev.n, dev.mode, steps, conservation)
-
-
-def _exit_record_dense(dev: CompiledMultiport, input_port: int, n_max: int) -> ExitRecord:
-    """Float exit record over the dense one-step operators.
-
-    Encounter 1 only injects the photon: nothing exits and the internal
-    state becomes x = B e_in.  Each later encounter exits C x and steps
-    x <- A x.  Conservation is measured at every encounter.
-    """
-    A, B, C = dense_step_operators(dev)
-    X = np.empty((3 * dev.n, n_max), dtype=complex)  # internal state after each encounter
-    X[:, 0] = B[:, input_port]
-    for k in range(1, n_max):
-        X[:, k] = A @ X[:, k - 1]
-    exits = np.zeros((dev.n, n_max), dtype=complex)
-    exits[:, 1:] = C @ X[:, :-1]
-    step_prob = (exits.real ** 2 + exits.imag ** 2).sum(axis=0)
-    cumulative = np.cumsum(step_prob)
-    internal = (X.real ** 2 + X.imag ** 2).sum(axis=0)
-    conservation = float(np.abs(internal + cumulative - 1.0).max())
-    steps = [
-        ExitStep(k + 1, tuple(amps), prob, cum)
-        for k, (amps, prob, cum) in enumerate(
-            zip(exits.T.tolist(), step_prob.tolist(), cumulative.tolist())
-        )
-    ]
-    return ExitRecord(input_port, dev.n, dev.mode, steps, conservation)
+    F, k = exact.field(dev.mode), 3 * dev.n
+    S, W = gather_table(dev)
+    hist = np.full((n_max + 1, k + dev.n + 1), F.zero, dtype=W.dtype)
+    hist[0, k + input_port] = F.one
+    gather_steps(S, [W] * n_max, hist, k)
+    exits = hist[1:, k:-1]
+    step_prob, internal = _probabilities(exits), _probabilities(hist[1:, :k])
+    cumulative = list(itertools.accumulate(step_prob))
+    conservation = max(abs(float(a + c) - 1.0) for a, c in zip(internal, cumulative))
+    steps = map(ExitStep, range(1, n_max + 1), map(tuple, exits.tolist()), step_prob, cumulative)
+    return ExitRecord(input_port, dev.n, dev.mode, list(steps), conservation)
 
 
 @dataclass
@@ -355,10 +358,9 @@ def dense_step_operators(dev: CompiledMultiport):
     conservation asserts.
     """
     k = 3 * dev.n
+    S, W = gather_table(dev)
     step = np.zeros((k + dev.n, k + dev.n), dtype=complex)
-    for out, terms in step_rows(dev):
-        for src, weight, _symbol in terms:
-            step[out, src] = complex(weight)
+    step[np.arange(k + dev.n)[:, None], S] = W
     return step[:k, :k], step[:k, k:], step[k:, :k]
 
 
@@ -418,32 +420,40 @@ def steady_state(spec: MultiportSpec, tol: float = 1e-12) -> SteadyStateResult:
     by binary lifting, in O(log max_steps) products of 3n x 3n matrices
     (see ``_steady_state_dense``); conservation is measured at every
     encounter count the search stops at, the last one included.  Exact
-    mode steps one encounter at a time.
+    mode runs the kernel's exact step one encounter at a time and keeps
+    only the current state.
     """
     if not tol > 0:
         raise SpecError("tol must be positive")
     dev = compile_spec(spec)
     if dev.mode == "float":
         return _steady_state_dense(dev, tol)
+    n, k = dev.n, 3 * dev.n
+    S, W = gather_table(dev)
     columns = []
     worst_residual = 0.0
     steps_used = 0
     converged = True
     conservation = 0.0
-    for port in range(dev.n):
-        acc = [exact.ZERO] * dev.n
-        encounters = itertools.islice(_encounters(dev, port), dev.max_steps)
-        for step, internal, port_conservation in encounters:
-            acc = [a + e for a, e in zip(acc, step.amplitudes)]
+    for port in range(n):
+        x = np.full(k + n + 1, exact.ZERO, dtype=object)
+        x[k + port] = exact.ONE
+        acc, cumulative = [exact.ZERO] * n, exact.ZERO
+        for N in range(1, dev.max_steps + 1):
+            y = _gather_exact(W, x, S)  # one encounter; only its state is kept
+            x[:k], x[k:] = y[:k], exact.ZERO
+            step_prob, internal = _probabilities([y[k:], y[:k]])
+            acc = [a + e if e else a for a, e in zip(acc, y[k:])]
+            cumulative = cumulative + step_prob
+            conservation = max(conservation, abs(float(internal + cumulative) - 1.0))
             residual = math.sqrt(max(float(internal), 0.0))
             if residual < tol:
-                steps_used = max(steps_used, step.n)
+                steps_used = max(steps_used, N)
                 break
         else:
             steps_used = dev.max_steps
             converged = False
         worst_residual = max(worst_residual, residual)
-        conservation = max(conservation, port_conservation)
         columns.append(acc)
     rows = tuple(
         tuple(columns[j][i] for j in range(dev.n)) for i in range(dev.n)

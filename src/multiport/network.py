@@ -21,20 +21,20 @@ lead, then one slot that always holds zero.  A step computes
 state's modes followed by one amplitude per lead.  Each physical output
 is one beam-splitter arm and combines exactly two inputs; each ideal
 output combines its vertex's incoming channels, padded with the zero slot
-up to the largest degree.  Each distinct vertex is tabulated once, and
-every vertex's rows are placed into S and W by two index maps.  A float
-step is one numpy gather, ``(W * x[S]).sum(axis=1)``; exact mode
-evaluates the same expression over object arrays of ExactComplex.  A
-scheduled override rebuilds only its vertex's rows, in a copy of W.  A
-run writes each step's outputs into one history array, and builds a
-step's WalkStep from its arrays when the step is first read.
+up to the largest degree.  Each distinct vertex is tabulated once (a
+multiport by ``device.gather_table``), and every vertex's rows are
+placed into S and W by two index maps.  A scheduled override rebuilds
+only its vertex's rows, in a copy of W.  A run steps one history array
+through ``device.gather_steps``, the kernel that also steps exit
+records, and builds a step's WalkStep from its arrays when the step is
+first read.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import exact
 from .device import _MAX_RECORD_AMPLITUDES, MultiportSpec, compile_spec, grover_coin
-from .device import step_record, step_rows
+from .device import _gather_exact, gather_steps, gather_table, step_record
 from .errors import SpecError
 from .matrices import Matrix
 
@@ -268,8 +268,9 @@ class WalkEngine:
         # State layout: directed edge e = (u, w) is mode 2e toward w and
         # 2e + 1 toward u; physical vertex v then owns its cw, ccw and
         # mirror modes; lead l's input slot and output row are both
-        # _modes + l; the last slot stays zero.  The placement maps hold
-        # vertex v's local modes (see _local_rows) from offsets[v].
+        # _modes + l; the last slot stays zero.  src_map holds vertex v's
+        # local modes (see _local_rows) and padding slot from offsets[v];
+        # out_map holds every vertex's output rows, vertex after vertex.
         self._edges = edges
         self._edge_keys = [(e, w) for e, (u, v) in enumerate(edges) for w in (v, u)]
         self._modes = slots - self.lead_count
@@ -286,11 +287,11 @@ class WalkEngine:
             src_map += [*own, *sources, zero_slot]
             # A lead's slot is its input and its output; an edge's two modes
             # differ in their last bit.
-            out_map += [*own, *(s ^ 1 if s < self._modes else s for s in sources), zero_slot]
+            out_map += [*own, *(s ^ 1 if s < self._modes else s for s in sources)]
         counts = [len(tables[k][0]) for k in keys]
         shift = np.repeat(offsets, counts)
-        outs, srcs, weights = (np.concatenate(part) for part in zip(*(tables[k] for k in keys)))
-        rows = np.array(out_map)[outs + shift]
+        srcs, weights = (np.concatenate(part) for part in zip(*(tables[k] for k in keys)))
+        rows = np.array(out_map)
         # Vertex v's rows of S and W, in its local order; an override's
         # rows come in the same order.
         self._rows = np.split(rows, np.cumsum(counts)[:-1])
@@ -301,10 +302,6 @@ class WalkEngine:
         self._W = np.full((slots, fan_in), F.zero, dtype=self._dtype, order="F")
         self._S[rows] = np.array(src_map)[srcs + shift[:, None]]
         self._W[rows] = weights
-        # From step 2 on, a lead's input slot reads as the zero slot: leads
-        # absorb, and their slots then hold the step's exits.
-        self._S_after = self._S.copy(order="F")
-        self._S_after[(self._S >= self._modes) & (self._S < zero_slot)] = zero_slot
 
     # -- compiling -------------------------------------------------------
 
@@ -321,22 +318,17 @@ class WalkEngine:
         return coin
 
     def _local_rows(self, params, fan_in: int):
-        """A vertex's rows as (outputs, sources, weights) arrays of fan_in
-        terms over its own modes, one slot per port and a padding slot: a
-        multiport's ``device.step_rows`` over 3n own modes, or a coin's row
-        q, gathering port p with weight coin[q][p], over none."""
-        if self.kind == "ideal":
-            d, pad = params.dim, fan_in - params.dim
-            outs, srcs = range(d), [*range(d), *[d] * pad] * d
-            filler = [exact.field(self.mode).zero] * pad
-            weights = [w for r in params.rows for w in (*r, *filler)]
-        else:  # every row of a multiport has fan_in = 2 terms
-            rows = step_rows(params)
-            outs = [out for out, _terms in rows]
-            srcs = [src for _out, terms in rows for src, _w, _sym in terms]
-            weights = [w for _out, terms in rows for _src, w, _sym in terms]
+        """A vertex's (sources, weights) arrays, one row of fan_in terms per
+        own mode and port, over its own modes, one slot per port and a padding
+        slot: a multiport's ``device.gather_table`` over 3n own modes, or a
+        coin's row q, gathering port p with weight coin[q][p], over none."""
+        if self.kind == "physical":  # every row of a multiport has fan_in = 2 terms
+            return gather_table(params)
+        d, pad = params.dim, fan_in - params.dim
+        srcs = [*range(d), *[d] * pad] * d
+        filler = [exact.field(self.mode).zero] * pad
+        weights = [w for r in params.rows for w in (*r, *filler)]
         return (
-            np.array(outs, dtype=np.intp),
             np.array(srcs, dtype=np.intp).reshape(-1, fan_in),
             np.array(weights, dtype=self._dtype).reshape(-1, fan_in),
         )
@@ -344,41 +336,21 @@ class WalkEngine:
     def _override_params(self, v: int, override):
         if self.kind == "ideal":
             return self._checked_coin(v, override)
-        if not isinstance(override, dict):
-            raise SpecError(f"vertex {v}: a physical-vertex override is a parameter dict")
-        spec = self.graph.vertices[v].spec
-        return compile_spec(
-            MultiportSpec(
-                n=spec.n,
-                r=override.get("r", spec.r),
-                t=override.get("t", spec.t),
-                mirror_factor=override.get("mirror_factor", spec.mirror_factor),
-                edge_phases=override.get("edge_phases", spec.edge_phases),
-                max_steps=spec.max_steps,
-                mode=spec.mode,
-            )
-        )
+        keys = ["edge_phases", "mirror_factor", "r", "t"]  # the MultiportSpec fields it may set
+        if not (isinstance(override, dict) and override.keys() <= set(keys)):
+            raise SpecError(f"vertex {v}: an override may set only {keys}, got {override!r}")
+        return compile_spec(replace(self.graph.vertices[v].spec, **override))
 
     def _weights_with(self, overrides) -> np.ndarray:
         """A copy of W with the overridden vertices' rows rebuilt."""
         W = self._W.copy(order="F")
         for v, override in overrides.items():
-            W[self._rows[v]] = self._local_rows(self._override_params(v, override), W.shape[1])[2]
+            W[self._rows[v]] = self._local_rows(self._override_params(v, override), W.shape[1])[1]
         return W
 
     def _gather_exact(self, W: np.ndarray, x: np.ndarray, S=None) -> np.ndarray:
-        """``(W * x[S]).sum(axis=1)`` over the nonzero terms only; S is the
-        engine's own unless given.
-
-        An ExactComplex product is 64 integer products and one gcd, and
-        most of a sparse walk state and every padding weight are zero."""
-        S = self._S if S is None else S
-        rows, cols = np.nonzero(W.astype(bool) & x.astype(bool)[S])
-        out = np.full(S.shape[0], exact.ZERO, dtype=object)
-        for r, w, a in zip(rows.tolist(), W[rows, cols].tolist(), x[S[rows, cols]].tolist()):
-            term = w * a
-            out[r] = term if out[r] is exact.ZERO else out[r] + term
-        return out
+        """One exact step of the kernel; S is the engine's own unless given."""
+        return np.array(_gather_exact(W, x, self._S if S is None else S), dtype=object)
 
     # -- the run ---------------------------------------------------------
 
@@ -398,7 +370,7 @@ class WalkEngine:
             )
         F = exact.field(self.mode)
         try:
-            pairs = {input_lead: F.one} if isinstance(input_lead, int) else dict(input_lead)
+            pairs = {input_lead: F.one} if hasattr(input_lead, "__index__") else dict(input_lead)
             injection = {operator.index(l): _amplitude(F, amp) for l, amp in pairs.items()}
         except (TypeError, ValueError):
             raise SpecError(
@@ -407,6 +379,12 @@ class WalkEngine:
         for l in injection:
             if not 0 <= l < self.lead_count:
                 raise SpecError(f"no lead {l}")
+        try:
+            injected_prob = sum(float(exact.abs_sq(a)) for a in injection.values())
+        except OverflowError:  # an exact |a|^2 beyond the float range
+            injected_prob = math.inf
+        if not math.isfinite(injected_prob):
+            raise SpecError(f"an injection's summed |a|^2 must be finite, got {injected_prob}")
         if schedule is not None:
             for per_vertex in schedule.overrides.values():
                 for v in per_vertex:
@@ -420,15 +398,7 @@ class WalkEngine:
         hist = np.full((steps + 1, slots + 1), F.zero, dtype=self._dtype)
         for l, amp in injection.items():
             hist[0, modes + l] = amp
-        injected_prob = sum(float(exact.abs_sq(a)) for a in injection.values())
-        if self.mode == "exact":
-            for k, (W, x) in enumerate(zip(weights, hist)):
-                hist[k + 1, :slots] = self._gather_exact(W, x, self._S_after if k else self._S)
-        else:
-            buf = np.empty_like(self._W)
-            for k, (W, x, out) in enumerate(zip(weights, hist, hist[1:, :slots])):
-                np.multiply(W, x[self._S_after if k else self._S], out=buf)
-                np.add.reduce(buf, axis=1, out=out)
+        gather_steps(self._S, weights, hist, modes)
 
         lead_amps = hist[1:, modes:slots].copy()
         # probs is |out|^2 in floats; nonzero is nonzero where out is.

@@ -690,3 +690,30 @@ def test_device_commands_never_escape(case):
             code = main(argv)
     assert code in {0, 1, 2, 3, 4}
     assert (code == 0) == bool(out.getvalue())
+
+
+def test_walk_config_refuses_keys_it_never_reads(capsys, tmp_path):
+    """A key that a vertex entry, a multiport entry or a schedule override
+    never reads is a config error naming it; it used to be ignored, so a
+    misspelt override ran the walk without it."""
+    with open(os.path.join(CONFIG_DIR, "walk_two_triports.json"), encoding="utf-8") as fh:
+        walk = json.load(fh)["walk"]
+    overrides = {"edge_phase": {"edge_phase": 1.0}, "edge_phases": {"edge_phases": 1.0},
+                 "bogus": {"mirror_phase": 0.5, "bogus": 1},
+                 "mirror_phase": {"coin": "identity", "dim": 3, "mirror_phase": 0.5}}
+    for key, override in overrides.items():
+        code, out, err = _walk_code(capsys, tmp_path, {**walk, "schedule": {"2": {"0": override}}})
+        assert (code, out) == (1, "")
+        assert key in err
+    triport = {"edges": [], "leads": [0, 0, 0]}
+    vertices = {"edge_phases": {"multiport": {"n": 3, "edge_phases": 0.5}},
+                "bogus": {"multiport": {"n": 3}, "bogus": 1},
+                "mirror_phase": {"coin": "grover", "dim": 3, "mirror_phase": 0.5}}
+    for key, vertex in vertices.items():
+        code, out, err = _walk_code(capsys, tmp_path, {**triport, "vertices": [vertex]})
+        assert (code, out) == (1, "")
+        assert key in err
+    valid = {**walk, "schedule": {"2": {"0": {"mirror_phase": 0.5}}}}
+    code, out, _err = _walk_code(capsys, tmp_path, valid)
+    assert code == 0
+    assert out != _walk_code(capsys, tmp_path, walk)[1]

@@ -9,6 +9,7 @@ import cmath
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -832,3 +833,15 @@ def test_exit_record_refuses_encounters_outside_the_record(mode):
             rec.cumulative(n)
         with pytest.raises(SpecError, match="outside 1..5"):
             rec.amplitude(n, 0)
+
+
+def test_exact_steady_state_stops_at_the_first_small_residual():
+    """Exact steady_state steps one encounter at a time and keeps only the
+    current state, so a huge ``max_steps`` costs nothing unless the sum
+    runs that long; a full history of 10^6 encounters would never finish."""
+    for n, tol, steps_used in ((3, 1e-3, 22), (4, 1e-6, 4)):
+        start = time.perf_counter()
+        res = steady_state(MultiportSpec(n=n, mode="exact", max_steps=10 ** 6), tol=tol)
+        assert time.perf_counter() - start < 1.0
+        assert (res.steps_used, res.converged) == (steps_used, True)
+    assert res.residual == 0.0

@@ -936,3 +936,40 @@ def test_equal_vertices_compile_once_and_unhashable_ones_apart(monkeypatch):
     odd = build_network(GraphSpec(vertices=vertices, edges=edges, leads=leads))
     assert calls["compile"] == 4
     _assert_same_records(odd.run(2, 20).steps, plain.run(2, 20).steps)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_injection_with_no_finite_probability_is_refused(mode):
+    """An injection whose summed |a|^2 is NaN, infinite or beyond the float
+    range is a SpecError, not a walk of NaN records."""
+    engine = build_network(single_triport(mode))
+    if mode == "float":
+        bad = [{0: math.nan}, {0: math.inf}, {0: complex(0, math.nan)}, {0: 1e200},
+               {0: 1e154, 1: 1e154}]
+    else:
+        bad = [{0: 10 ** 200}, {1: Fraction(10 ** 400, 3)}]
+    for injection in bad:
+        with pytest.raises(SpecError, match="finite"):
+            engine.run(injection, 4)
+    assert len(engine.run({0: 10 ** 100 if mode == "exact" else 1e100}, 4).steps) == 4
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_single_lead_is_read_as_an_index(mode):
+    """A single lead may be any integer type, such as a numpy integer."""
+    engine = build_network(single_triport(mode))
+    want = _stepwise_run(engine, 1, 5)
+    for lead in (1, np.int64(1), np.intp(1), True):
+        _assert_same_records(engine.run(lead, 5).steps, want)
+
+
+def test_physical_override_refuses_keys_it_never_reads():
+    """A physical-vertex override sets r, t, mirror_factor or edge_phases;
+    any other key is refused rather than ignored."""
+    engine = build_network(single_triport("float"))
+    for override in ({"edge_phase": 1.0}, {"n": 4}, {"r": 1j, "t": 0j, "bogus": 0}, {0: 1}):
+        with pytest.raises(SpecError, match="override"):
+            engine.run(0, 3, Schedule({2: {0: override}}))
+    schedule = Schedule({k: {0: {"edge_phases": [0.5, 0.0, 0.0]}} for k in range(1, 7)})
+    retuned = [s.lead_step_amplitudes for s in engine.run(0, 6, schedule).steps]
+    assert retuned != [s.lead_step_amplitudes for s in engine.run(0, 6).steps]
