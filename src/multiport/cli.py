@@ -151,6 +151,11 @@ def _read_int(value, what):
     return _read(int, value, what)
 
 
+def _each(convert, value):
+    """``convert(value)``, or ``convert`` of each item when ``value`` is a list."""
+    return [convert(v) for v in value] if isinstance(value, list) else convert(value)
+
+
 def _phase_list(value):
     """One phase, or a list of phases, as floats: from a flag ('0.5' or
     '0,0.5,1') or a config value (a number or a list)."""
@@ -158,50 +163,46 @@ def _phase_list(value):
         return None
     if isinstance(value, str) and "," in value:
         value = value.split(",")
-    if isinstance(value, list):
-        return [_read(float, p, "phase") for p in value]
-    return _read(float, value, "phase")
+    return _each(lambda p: _read(float, p, "phase"), value)
 
 
-def device_spec(args, cfg) -> device.MultiportSpec:
-    dcfg = _read(dict, cfg.get("device", {}), "device section")
-    n = args.n if args.n is not None else dcfg.get("n", 3)
-    mode = resolve_mode(args, cfg)
-    r = args.r if args.r is not None else dcfg.get("r")
-    t = args.t if args.t is not None else dcfg.get("t")
-    mirror_phase = (
-        args.mirror_phase if args.mirror_phase is not None else dcfg.get("mirror_phase")
-    )
-    edge_phase = (
-        args.edge_phase if args.edge_phase is not None else dcfg.get("edge_phase", 0.0)
-    )
-    max_steps = args.max_steps if args.max_steps is not None else dcfg.get("max_steps")
+# The keys of a config ``device`` section, which are also the device flags.
+_DEVICE_KEYS = ("n", "r", "t", "mirror_phase", "edge_phase", "max_steps")
 
-    kwargs = {"n": _read_int(n, "port count"), "mode": mode}
-    if max_steps is not None:
-        kwargs["max_steps"] = _read_int(max_steps, "max_steps")
+
+def _multiport_kwargs(section: dict, keys, mode, what) -> dict:
+    """``MultiportSpec`` arguments from a section holding only ``keys``:
+    ``r``, ``t`` and ``mirror_phase`` are one value or one per vertex."""
+    get = _only_keys(section, keys, what).get
+    kwargs = {}
+    if "n" in section:
+        kwargs["n"] = _read_int(section["n"], "port count")
+    if get("max_steps") is not None:
+        kwargs["max_steps"] = _read_int(section["max_steps"], "max_steps")
+    r, t = get("r"), get("t")
     if r is not None or t is not None:
         if mode == "exact":
             raise ConfigError("exact mode supports only the default r/t amplitudes")
         if r is None or t is None:
             raise ConfigError("override r and t together")
-        kwargs["r"] = [parse_complex(v) for v in r] if isinstance(r, list) else parse_complex(r)
-        kwargs["t"] = [parse_complex(v) for v in t] if isinstance(t, list) else parse_complex(t)
-    if mirror_phase is not None:
-        phases = _phase_list(mirror_phase)
-        kwargs["mirror_factor"] = (
-            [_mirror_factor(p, mode) for p in phases]
-            if isinstance(phases, list)
-            else _mirror_factor(phases, mode)
-        )
-    edge = _phase_list(edge_phase)
+        kwargs["r"] = _each(parse_complex, r)
+        kwargs["t"] = _each(parse_complex, t)
+    phases = _phase_list(get("mirror_phase"))
+    if phases is not None:
+        kwargs["mirror_factor"] = _each(exact.field(mode).phase, phases)
+    edge = _phase_list(get("edge_phase"))
     if edge is not None:
         kwargs["edge_phases"] = edge
-    return device.MultiportSpec(**kwargs)
+    return kwargs
 
 
-def _mirror_factor(phase, mode):
-    return exact.field(mode).phase(float(phase))
+def device_spec(args, cfg) -> device.MultiportSpec:
+    section = _read(dict, cfg.get("device", {}), "device section")  # a copy
+    flags = {key: getattr(args, key) for key in _DEVICE_KEYS}
+    section.update((key, v) for key, v in flags.items() if v is not None)
+    mode = resolve_mode(args, cfg)
+    kwargs = _multiport_kwargs(section, _DEVICE_KEYS, mode, "the device section")
+    return device.MultiportSpec(mode=mode, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +402,9 @@ def _graph_from_config(gcfg, mode) -> network.GraphSpec:
                 d = _only_keys(v, ("multiport",), "a multiport vertex")["multiport"]
                 if not isinstance(d, dict):
                     raise ConfigError(f"multiport entry must be an object, got {d!r}")
-                _only_keys(d, ("n", "mirror_phase", "r", "t", "edge_phase"), "a multiport entry")
-                kwargs = {"n": _read_int(d.get("n", 3), "port count"), "mode": mode}
-                if "mirror_phase" in d:
-                    kwargs["mirror_factor"] = _mirror_factor(d["mirror_phase"], mode)
-                if "r" in d or "t" in d:
-                    if mode == "exact":
-                        raise ConfigError("exact mode supports only default r/t")
-                    kwargs["r"] = parse_complex(d["r"])
-                    kwargs["t"] = parse_complex(d["t"])
-                if "edge_phase" in d:
-                    phase = d["edge_phase"]
-                    kwargs["edge_phases"] = (
-                        [float(p) for p in phase] if isinstance(phase, list) else float(phase)
-                    )
-                vertices.append(network.PhysicalVertex(device.MultiportSpec(**kwargs)))
+                keys = ("n", "mirror_phase", "r", "t", "edge_phase")
+                kwargs = _multiport_kwargs(d, keys, mode, "a multiport entry")
+                vertices.append(network.PhysicalVertex(device.MultiportSpec(mode=mode, **kwargs)))
             else:
                 raise ConfigError("vertex needs a 'coin' or 'multiport' entry")
         edges = [
@@ -444,16 +433,9 @@ def _schedule_from_config(scfg, graph_mode) -> network.Schedule:
                     _only_keys(ov, ("coin", "dim"), f"schedule step {step}: a coin override")
                     inner[int(v)] = _config_coin(ov["coin"], ov.get("dim"), graph_mode)
                     continue
-                _only_keys(ov, ("r", "t", "mirror_phase"), f"schedule step {step}: an override")
-                params = {}
-                if "r" in ov or "t" in ov:
-                    if graph_mode == "exact":
-                        raise ConfigError("exact mode supports only default r/t")
-                    params["r"] = parse_complex(ov["r"])
-                    params["t"] = parse_complex(ov["t"])
-                if "mirror_phase" in ov:
-                    params["mirror_factor"] = _mirror_factor(ov["mirror_phase"], graph_mode)
-                inner[int(v)] = params
+                inner[int(v)] = _multiport_kwargs(
+                    ov, ("r", "t", "mirror_phase"), graph_mode, f"schedule step {step}: an override"
+                )
             overrides[int(step)] = inner
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad walk schedule: {err}") from err
@@ -501,6 +483,8 @@ def cmd_walk(args, cfg):
 
 def cmd_feasibility(args, cfg):
     fcfg = _read(dict, cfg.get("feasibility", {}), "feasibility section")
+    keys = ("d", "refractive_index", "pulse_duration", "spectral_width", "detector_time")
+    _only_keys(fcfg, keys, "the feasibility section")
 
     def value(flag, key, default=None):
         v = flag if flag is not None else fcfg.get(key, default)

@@ -56,7 +56,7 @@ _MAX_PATHS = 1 << 16
 
 # The most ports a multiport may have.  The dense one-step operators hold
 # (4n)^2 complex entries, 16 MiB at this bound, and float ``unitary`` at
-# the defaults takes a few seconds there; a larger n is refused before
+# the defaults takes under a second there; a larger n is refused before
 # anything of its size is allocated.
 _MAX_PORTS = 256
 
@@ -467,9 +467,9 @@ def steady_state(spec: MultiportSpec, tol: float = 1e-12) -> SteadyStateResult:
 # Long-time matrix as a resolvent on the reachable subspace
 # ---------------------------------------------------------------------------
 
-# A Krylov candidate joins the float basis when what is left of it after
-# orthogonalization is above this fraction of its norm.
-_KRYLOV_TOL = 1e-10
+# An eigenvalue of A this close to the unit circle is a trapped mode in
+# float mode: no input reaches it and it never leaks into an exit.
+_TRAPPED_TOL = 1e-9
 
 
 @dataclass
@@ -494,22 +494,24 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
     """The sum over all encounters, U = C sum_k A^k B, in closed form.
 
     ``I - A`` is singular for every reference device: A has eigenvalue 1
-    on internal modes no input reaches.  Those modes are orthogonal to
-    the Krylov space K = span[B, AB, A^2 B, ...], where A is a strict
-    contraction, so the system is solved there: with a basis E of K and
-    A E = E H, U = C E (I - H)^-1 E^+ B.  ``spec.max_steps`` is not used.
+    on internal modes no input reaches.  Two solutions of (I - A) X = B
+    differ by such a mode, which C maps to 0 (the step x -> (C x, A x)
+    is an isometry), so U = C X is the same for all.  ``reachable_dim``
+    is the dimension of K = span[B, AB, ...]; ``spec.max_steps`` is unused.
 
-    Float mode takes an orthonormal E (block Arnoldi, orthogonalized
-    twice) and ``np.linalg.solve``.  Exact mode takes E in reduced
-    row-echelon form, chosen by exact zero tests: H's columns are A e_j
-    read at the pivot rows, and (I - H) Z = B[pivots] is solved by
-    sparse elimination over ExactComplex, with no tolerance and no
-    square root.  The dimension of K is ``reachable_dim``.
+    Float mode takes the minimum-norm solution, which lies in K, from
+    ``np.linalg.lstsq``; ``reachable_dim`` is 3n less the eigenvalues of
+    A within ``_TRAPPED_TOL`` of the unit circle (a trapped mode need not
+    have eigenvalue 1, so this is not the rank of I - A).  Exact mode
+    takes a basis E of K in reduced row-echelon form, chosen by exact zero
+    tests, with A E = E H: H's columns are A e_j read at the pivot rows,
+    and (I - H) Z = B[pivots] is solved by sparse elimination over
+    ExactComplex, with no tolerance and no square root; X = E Z.
 
-    ``residual`` is the largest column norm of (I - A) X - B for
-    X = E Z.  Above ``tol`` it is a ConvergenceError; in exact mode it
-    must be exactly zero and U U^H must equal I under ``==``, or the
-    result is an InvariantViolation.
+    ``residual`` is the largest column norm of (I - A) X - B.  Above
+    ``tol`` it is a ConvergenceError; in exact mode it must be exactly
+    zero and U U^H must equal I under ``==``, or the result is an
+    InvariantViolation.
     """
     if not tol > 0:
         raise SpecError("tol must be positive")
@@ -534,29 +536,17 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
 def _resolvent_dense(dev: CompiledMultiport):
     """(U, residual, reachable dimension) with numpy."""
     A, B, C = dense_step_operators(dev)
-    k = 3 * dev.n
-    Q = np.empty((k, k), dtype=complex)
-    d = 0
-    pending = list(B.T)
-    for v in pending:  # grows while the basis does
-        if d == k:
-            break
-        w = v
-        for _ in range(2):
-            w = w - Q[:, :d] @ (Q[:, :d].conj().T @ w)
-        norm = np.linalg.norm(w)
-        if norm > _KRYLOV_TOL * np.linalg.norm(v):
-            Q[:, d] = w / norm
-            pending.append(A @ Q[:, d])
-            d += 1
-    Q = Q[:, :d]
-    H = Q.conj().T @ A @ Q
+    k, m = 3 * dev.n, 2 * dev.n
     try:
-        X = Q @ np.linalg.solve(np.eye(d) - H, Q.conj().T @ B)
+        X = np.linalg.lstsq(np.eye(k) - A, B, rcond=None)[0]
+        # A sends mirror modes only to polygon modes and back, so its
+        # eigenvalues are n zeros and +-sqrt(mu), mu those of A^2 on mirror modes.
+        mu = np.linalg.eigvals(A[m:, :m] @ A[:m, m:])
     except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"I - H is singular on the reachable subspace: {err}") from err
+        raise ConvergenceError(f"long-time solve failed: {err}") from err
+    trapped = 2 * int((np.sqrt(np.abs(mu)) > 1 - _TRAPPED_TOL).sum())
     residual = float(np.linalg.norm(X - A @ X - B, axis=0).max())
-    return Matrix.from_numpy(C @ X), residual, d
+    return Matrix.from_numpy(C @ X), residual, k - trapped
 
 
 def _resolvent_exact(dev: CompiledMultiport):

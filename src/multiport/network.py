@@ -42,7 +42,7 @@ import numpy as np
 
 from . import exact
 from .device import _MAX_RECORD_AMPLITUDES, MultiportSpec, compile_spec, grover_coin
-from .device import _gather_exact, gather_steps, gather_table, step_record
+from .device import gather_steps, gather_table, step_record
 from .errors import SpecError
 from .matrices import Matrix
 
@@ -347,10 +347,6 @@ class WalkEngine:
         for v, override in overrides.items():
             W[self._rows[v]] = self._local_rows(self._override_params(v, override), W.shape[1])[1]
         return W
-
-    def _gather_exact(self, W: np.ndarray, x: np.ndarray, S=None) -> np.ndarray:
-        """One exact step of the kernel; S is the engine's own unless given."""
-        return np.array(_gather_exact(W, x, self._S if S is None else S), dtype=object)
 
     # -- the run ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """CLI contract: values, formats, determinism and exit codes."""
 
+import cmath
 import contextlib
 import hashlib
 import io
@@ -717,3 +718,55 @@ def test_walk_config_refuses_keys_it_never_reads(capsys, tmp_path):
     code, out, _err = _walk_code(capsys, tmp_path, valid)
     assert code == 0
     assert out != _walk_code(capsys, tmp_path, walk)[1]
+
+
+def test_device_and_feasibility_sections_refuse_keys_they_never_read(capsys, tmp_path):
+    """A misspelt key in a ``device`` or ``feasibility`` section is a config
+    error naming it, with nothing on stdout; it used to be dropped, so the
+    command ran as if the key were absent.  Every key the heterogeneous
+    example config holds is read: its exit table is that of the device
+    built from the same values through the library."""
+    path = tmp_path / "config.json"
+    repros = [
+        ("unitary", {"device": {"n": 3, "edge_phases": [0.5, 0, 0], "mirror-phase": 1.0}},
+         ("edge_phases", "mirror-phase")),
+        ("feasibility", {"feasibility": {"d": 0.01, "pulse-duration": 1e-12}},
+         ("pulse-duration",)),
+    ]
+    for command, config, keys in repros:
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert all(key in err for key in keys), err
+    config = os.path.join(CONFIG_DIR, "device_heterogeneous.json")
+    with open(config, encoding="utf-8") as fh:
+        section = json.load(fh)["device"]
+    rows = run_json(capsys, "exits", "--config", config, "--steps", "6")["data"]["rows"]
+    spec = device.MultiportSpec(
+        n=section["n"],
+        r=[parse_complex(v) for v in section["r"]],
+        t=[parse_complex(v) for v in section["t"]],
+        mirror_factor=[cmath.exp(1j * p) for p in section["mirror_phase"]],
+        edge_phases=[float(p) for p in section["edge_phase"].split(",")],
+    )
+    want = device.exit_record(spec, 0, 6)
+    got = [[complex(*a) for a in row["amplitudes"]] for row in rows]
+    assert got == [list(step.amplitudes) for step in want.steps]
+
+
+def test_walk_entries_read_parameters_as_the_device_section_does(capsys, tmp_path):
+    """``r``, ``t`` and ``mirror_phase`` in a multiport entry or a schedule
+    override are one value or one per vertex, as in the ``device``
+    section, so a bare [re, im] pair is a per-vertex list, refused for a
+    3-port."""
+    walk = {"edges": [], "leads": [0, 0, 0]}
+    one = {"n": 3, "r": "0.6i", "t": "0.8", "mirror_phase": 0.5}
+    each = {"n": 3, "r": ["0.6i"] * 3, "t": ["0.8"] * 3, "mirror_phase": [0.5] * 3}
+    runs = [_walk_code(capsys, tmp_path, {**walk, "vertices": [{"multiport": m}]})
+            for m in (one, each)]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    override = {"r": ["0.6i"] * 3, "t": ["0.8"] * 3, "mirror_phase": [0.5, 0.0, 1.0]}
+    scheduled = {**walk, "vertices": [{"multiport": {"n": 3}}], "schedule": {"2": {"0": override}}}
+    assert _walk_code(capsys, tmp_path, scheduled)[0] == 0
+    pair = {"n": 3, "r": [0.0, 0.6], "t": [0.8, 0.0]}
+    assert _walk_code(capsys, tmp_path, {**walk, "vertices": [{"multiport": pair}]})[0] == 2

@@ -801,6 +801,91 @@ def test_exact_long_time_matrix_matches_float():
             assert exact_res.reachable_dim == float_res.reachable_dim
 
 
+def test_float_and_exact_agree_on_trapped_modes():
+    """All 384 homogeneous devices on the pi/4 grid (n = 3..8, mirror
+    factor and edge phase each an eighth turn): the float count of
+    trapped modes, read off A's spectrum with a tolerance, equals the
+    exact count, found by exact zero tests.  A mirror factor of 1 traps
+    two modes of the 3-port although I - A has full rank, so the count
+    is not the rank of the solve."""
+    for n in range(3, 9):
+        for k in range(8):
+            factor = exact.field("exact").phase(k * math.pi / 4)
+            for e in range(8):
+                edge = e * math.pi / 4
+                exact_res = long_time_matrix(
+                    MultiportSpec(n=n, mirror_factor=factor, edge_phases=edge, mode="exact")
+                )
+                float_res = long_time_matrix(
+                    MultiportSpec(n=n, mirror_factor=complex(factor), edge_phases=edge)
+                )
+                assert float_res.reachable_dim == exact_res.reachable_dim, (n, k, e)
+                assert exact_res.matrix.max_abs_dev(float_res.matrix) < 1e-12, (n, k, e)
+    for mode in ("float", "exact"):
+        assert long_time_matrix(MultiportSpec(n=3, mirror_factor=1, mode=mode)).reachable_dim == 7
+    A, _B, _C = dense_step_operators(compile_spec(MultiportSpec(n=3, mirror_factor=1)))
+    assert np.linalg.matrix_rank(np.eye(9) - A) == 9
+
+
+def _krylov_dim(A, B):
+    """The dimension of span[B, AB, A^2 B, ...] by block Arnoldi, two
+    orthogonalization passes per candidate: the float method that the
+    eigenvalue count replaced, kept as its reference."""
+    k = A.shape[0]
+    Q = np.empty((k, k), dtype=complex)
+    d = 0
+    pending = list(B.T)
+    for v in pending:  # grows while the basis does
+        if d == k:
+            break
+        w = v
+        for _ in range(2):
+            w = w - Q[:, :d] @ (Q[:, :d].conj().T @ w)
+        norm = np.linalg.norm(w)
+        if norm > 1e-10 * np.linalg.norm(v):
+            Q[:, d] = w / norm
+            pending.append(A @ Q[:, d])
+            d += 1
+    return d
+
+
+def test_float_trapped_count_matches_krylov_dimension():
+    """Seeded devices set per vertex, each splitter angle at an end of the
+    benchmark's range (0.1 or pi/2 - 0.1), with random phases.  Some have
+    eigenvalues of A within 1e-4 of the unit circle that no mode is
+    trapped on; ``reachable_dim`` is the Krylov dimension on all."""
+    rng = random.Random(2110)
+    for trial in range(240):
+        n = 3 + trial % 6
+        thetas = [rng.choice((0.1, math.pi / 2 - 0.1)) for _ in range(n)]
+        gammas = [rng.uniform(0, 2 * math.pi) for _ in range(n)]
+        spec = MultiportSpec(
+            n=n,
+            r=[1j * cmath.exp(1j * g) * math.sin(th) for th, g in zip(thetas, gammas)],
+            t=[cmath.exp(1j * g) * math.cos(th) for th, g in zip(thetas, gammas)],
+            mirror_factor=[cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)],
+            edge_phases=[rng.uniform(0, 2 * math.pi) for _ in range(n)],
+        )
+        A, B, _C = dense_step_operators(compile_spec(spec))
+        assert long_time_matrix(spec).reachable_dim == _krylov_dim(A, B), spec
+
+
+def test_failed_float_solve_is_a_convergence_error(monkeypatch, capsys):
+    """A LinAlgError from the least-squares solve or the eigenvalue count
+    exits 3, like any other unsolved long-time matrix."""
+
+    def fail(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for name in ("lstsq", "eigvals"):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, name, fail)
+            with pytest.raises(ConvergenceError):
+                long_time_matrix(MultiportSpec(n=4))
+            assert cli.main(["unitary", "--n", "4", "--mode", "float"]) == 3
+            assert capsys.readouterr().out == ""
+
+
 def test_long_time_matrix_bounds_its_residual():
     with pytest.raises(ConvergenceError):
         long_time_matrix(MultiportSpec(n=5), tol=1e-300)

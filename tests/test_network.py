@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multiport import cli, exact, network
+from multiport import cli, device, exact, network
 from multiport.device import (
     _MAX_RECORD_AMPLITUDES,
     MultiportSpec,
@@ -658,7 +658,7 @@ def _stepwise_run(engine, input_lead, steps, schedule=None):
         overrides = schedule.for_step(k) if schedule else {}
         W = engine._weights_with(overrides) if overrides else engine._W
         if engine.mode == "exact":
-            out = engine._gather_exact(W, x)
+            out = np.array(device._gather_exact(W, x, engine._S), dtype=object)
         else:
             out = (W * x[engine._S]).sum(axis=1)
         out_sq = _abs_sq(out)
