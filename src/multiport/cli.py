@@ -22,6 +22,8 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
+
 from . import bell, device, exact, feasibility, network
 from .errors import (
     ConfigError,
@@ -98,7 +100,75 @@ def encode_scalar(value, mode: str):
 
 
 def encode_matrix(m: Matrix):
+    """A float matrix as its complex array (written as rows of [re, im]
+    pairs), an exact one as rows of encoded scalars."""
+    if m.mode == "float":
+        return m.to_numpy()
     return [[encode_scalar(v, m.mode) for v in row] for row in m.rows]
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    if -math.inf < x < math.inf:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# The scalar writers by exact type.  Subclasses (np.float64, say) take the
+# isinstance tests of ``to_json``, in the order ``json`` makes them.
+_SCALARS = {str: _json_str, int: int.__repr__, float: _json_float,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+@functools.lru_cache(maxsize=64)
+def _array_layout(shape: tuple, level: int) -> str:
+    """The indented JSON text of nested lists of ``shape``, '%r' per number."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    items = ("," + pad).join([_array_layout(shape[1:], level + 1)] * shape[0])
+    return "[" + pad + items + "\n" + "  " * level + "]"
+
+
+def to_json(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys.  A float or complex ndarray is written as
+    ``json.dumps`` writes its ``tolist()``, each complex entry as [re, im],
+    one float repr at a time."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        a = obj
+        if a.dtype.kind == "c":  # one trailing axis of (re, im)
+            a = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype).reshape(a.shape + (2,))
+        text = _array_layout(a.shape, level) % tuple(a.ravel().tolist())
+        return to_json(a.tolist(), level) if "n" in text else text  # nan, inf
+    get, items, pad = _SCALARS.get, [], "\n" + "  " * (level + 1)
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            write = get(type(v))
+            items.append(write(v) if write else to_json(v, level + 1))
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
+    if isinstance(obj, dict):
+        for key, v in sorted(obj.items()):
+            write = get(type(v))
+            value = write(v) if write else to_json(v, level + 1)
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_json_str(key) + ": " + value)
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _re_im(value) -> list:
@@ -141,6 +211,15 @@ def _read(convert, value, what):
         return convert(value)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {what}: {value!r}") from err
+
+
+def _section(cfg, name) -> dict:
+    """A copy of config section ``name``, {} when absent; a section that is
+    not a JSON object is a config error."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {name} section must be a JSON object, got {section!r}")
+    return dict(section)
 
 
 def _read_int(value, what):
@@ -197,7 +276,7 @@ def _multiport_kwargs(section: dict, keys, mode, what) -> dict:
 
 
 def device_spec(args, cfg) -> device.MultiportSpec:
-    section = _read(dict, cfg.get("device", {}), "device section")  # a copy
+    section = _section(cfg, "device")
     flags = {key: getattr(args, key) for key in _DEVICE_KEYS}
     section.update((key, v) for key, v in flags.items() if v is not None)
     mode = resolve_mode(args, cfg)
@@ -213,12 +292,16 @@ def device_spec(args, cfg) -> device.MultiportSpec:
 def cmd_exits(args, cfg):
     spec = device_spec(args, cfg)
     record = device.exit_record(spec, port_index(args.input), args.steps)
+    if record.mode == "float":
+        amplitudes = np.array([step.amplitudes for step in record.steps], dtype=complex)
+    else:
+        amplitudes = [[encode_scalar(a, "exact") for a in s.amplitudes] for s in record.steps]
     rows = []
-    for step in record.steps:
+    for step, amps in zip(record.steps, amplitudes):
         rows.append(
             {
                 "n": step.n,
-                "amplitudes": [encode_scalar(a, record.mode) for a in step.amplitudes],
+                "amplitudes": amps,
                 "step_probability": encode_real(step.step_probability, record.mode),
                 "cumulative_probability": encode_real(
                     step.cumulative_probability, record.mode
@@ -482,7 +565,7 @@ def cmd_walk(args, cfg):
 
 
 def cmd_feasibility(args, cfg):
-    fcfg = _read(dict, cfg.get("feasibility", {}), "feasibility section")
+    fcfg = _section(cfg, "feasibility")
     keys = ("d", "refractive_index", "pulse_duration", "spectral_width", "detector_time")
     _only_keys(fcfg, keys, "the feasibility section")
 
@@ -619,7 +702,7 @@ def main(argv=None) -> int:
                 "mode": mode,
                 "data": data,
             }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = to_json(payload) + "\n"
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

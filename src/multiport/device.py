@@ -56,8 +56,8 @@ _MAX_PATHS = 1 << 16
 
 # The most ports a multiport may have.  The dense one-step operators hold
 # (4n)^2 complex entries, 16 MiB at this bound, and float ``unitary`` at
-# the defaults takes under a second there; a larger n is refused before
-# anything of its size is allocated.
+# the defaults takes about a quarter of a second there; a larger n is
+# refused before anything of its size is allocated.
 _MAX_PORTS = 256
 
 # The most amplitudes a run may record: an exit record holds 4n per
@@ -499,8 +499,9 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
     is an isometry), so U = C X is the same for all.  ``reachable_dim``
     is the dimension of K = span[B, AB, ...]; ``spec.max_steps`` is unused.
 
-    Float mode takes the minimum-norm solution, which lies in K, from
-    ``np.linalg.lstsq``; ``reachable_dim`` is 3n less the eigenvalues of
+    Float mode solves on the n mirror modes: one minimum-norm n x n
+    solve from ``np.linalg.lstsq``, lifted to all 3n modes (see
+    ``_resolvent_dense``); ``reachable_dim`` is 3n less the eigenvalues of
     A within ``_TRAPPED_TOL`` of the unit circle (a trapped mode need not
     have eigenvalue 1, so this is not the rank of I - A).  Exact mode
     takes a basis E of K in reduced row-echelon form, chosen by exact zero
@@ -536,17 +537,28 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
 def _resolvent_dense(dev: CompiledMultiport):
     """(U, residual, reachable dimension) with numpy."""
     A, B, C = dense_step_operators(dev)
-    k, m = 3 * dev.n, 2 * dev.n
+    m = 2 * dev.n
+    # A sends mirror modes only to polygon modes and back: its blocks are
+    # A_pm = A[:m, m:] and A_mp = A[m:, :m], and M = A_mp A_pm is A^2 on
+    # the mirror modes.  So A's eigenvalues are n zeros and +-sqrt(mu), mu
+    # those of M, and (I - A) X = B holds exactly when the mirror part x
+    # solves (I - M) x = B_m + A_mp B_p and X_p = B_p + A_pm x.  A null
+    # vector v of I - M lifts to (A_pm v, v) in the null space of I - A,
+    # which C maps to 0, so the n x n solve gives the same U.
+    A_pm, A_mp = A[:m, m:], A[m:, :m]
+    M = A_mp @ A_pm
     try:
-        X = np.linalg.lstsq(np.eye(k) - A, B, rcond=None)[0]
-        # A sends mirror modes only to polygon modes and back, so its
-        # eigenvalues are n zeros and +-sqrt(mu), mu those of A^2 on mirror modes.
-        mu = np.linalg.eigvals(A[m:, :m] @ A[:m, m:])
+        x = np.linalg.lstsq(np.eye(dev.n) - M, B[m:] + A_mp @ B[:m], rcond=None)[0]
+        mu = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"long-time solve failed: {err}") from err
     trapped = 2 * int((np.sqrt(np.abs(mu)) > 1 - _TRAPPED_TOL).sum())
-    residual = float(np.linalg.norm(X - A @ X - B, axis=0).max())
-    return Matrix.from_numpy(C @ X), residual, k - trapped
+    y = A_pm @ x
+    X = np.vstack([B[:m] + y, x])
+    # X - A X - B, with A X taken by its two nonzero blocks.
+    R = X - np.vstack([y, A_mp @ X[:m]]) - B
+    residual = float(np.linalg.norm(R, axis=0).max())
+    return Matrix.from_numpy(C @ X), residual, 3 * dev.n - trapped
 
 
 def _resolvent_exact(dev: CompiledMultiport):

@@ -46,7 +46,7 @@ class Matrix:
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":
-        return cls(tuple(tuple(complex(v) for v in row) for row in arr), "float")
+        return cls(np.asarray(arr).tolist(), "float")
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]

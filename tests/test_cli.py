@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import multiport
 from multiport import device
-from multiport.cli import build_parser, main, parse_complex
+from multiport.cli import build_parser, main, parse_complex, to_json
 from multiport.errors import ConfigError
 from multiport.matrices import Matrix
 
@@ -154,6 +155,84 @@ def test_exact_output_matches_recorded_digest(capsys, argv, fmt, digest):
     code, out, err = run_cli(capsys, *argv, "--mode", "exact", "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _as_lists(obj):
+    """``obj`` with each ndarray replaced by its ``tolist()``, every
+    complex entry as [re, im]: what ``to_json`` writes for it."""
+    if isinstance(obj, np.ndarray):
+        return _as_lists(obj.tolist())
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.complex128]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 64, 2 ** 200).map(lambda i: -i),
+    st.integers(2 ** 64, 2 ** 200), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), st.text(), _ARRAYS,
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_PAYLOADS)
+def test_writer_equals_json_dumps(payload):
+    """The stdout writer is ``json.dumps(indent=2, sort_keys=True)`` byte
+    for byte: empty and nested containers, tuples, any string, NaN,
+    +-Infinity, -0.0, huge ints, bools, np.float64, and float and complex
+    arrays (0-length axes and non-finite entries included) as their lists."""
+    assert to_json(payload) == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
+
+
+def test_writer_refuses_what_json_dumps_refuses():
+    """Unencodable values raise TypeError, as in ``json.dumps``; so does any
+    dict key that is not a str, which ``json.dumps`` would convert."""
+    for bad in (object(), {1, 2}, 1j, np.int64(3), np.array([1, 2]), [1, {"a": b"x"}],
+                {(1,): 2}, {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            to_json(bad)
+    for keyed in ({1: "a"}, {"a": {None: 1}}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            to_json(keyed)
+
+
+def test_float_stdout_is_json_dumps_of_itself(capsys):
+    """Float stdout reads back into the bytes ``json.dumps(indent=2,
+    sort_keys=True)`` would write for it."""
+    argvs = [("exits", "--n", str(n), "--steps", "12") for n in range(3, 9)]
+    argvs += [("unitary", "--n", str(n)) for n in range(3, 9)]
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        config = os.path.join(CONFIG_DIR, name)
+        if name.startswith("walk_"):
+            argvs.append(("walk", "--config", config, "--steps", "12"))
+        elif name.startswith("device_"):
+            argvs += [("unitary", "--config", config), ("exits", "--config", config)]
+        else:
+            argvs.append(("feasibility", "--config", config))
+    argvs += [("family", "--phi-sweep", "0:3.14159:5"), ("feasibility", "--d", "1e-4")]
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv, "--mode", "float")
+        assert code == 0, (argv, err)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
 def test_paths_command(capsys):
@@ -752,6 +831,23 @@ def test_device_and_feasibility_sections_refuse_keys_they_never_read(capsys, tmp
     want = device.exit_record(spec, 0, 6)
     got = [[complex(*a) for a in row["amplitudes"]] for row in rows]
     assert got == [list(step.amplitudes) for step in want.steps]
+
+
+def test_config_sections_must_be_objects(capsys, tmp_path):
+    """A ``device`` or ``feasibility`` section that is not a JSON object is
+    a config error naming the section; a list of [key, value] pairs, or an
+    empty list, used to be read as the object it spells."""
+    path = tmp_path / "config.json"
+    repros = [
+        ("unitary", {"device": [["n", 4]]}, "device"),
+        ("feasibility", {"feasibility": [["d", 0.01]]}, "feasibility"),
+        ("unitary", {"device": []}, "device"),
+    ]
+    for command, config, section in repros:
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (1, ""), config
+        assert f"{section} section" in err, err
 
 
 def test_walk_entries_read_parameters_as_the_device_section_does(capsys, tmp_path):

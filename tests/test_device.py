@@ -886,6 +886,50 @@ def test_failed_float_solve_is_a_convergence_error(monkeypatch, capsys):
             assert capsys.readouterr().out == ""
 
 
+def _extreme_spec(rng, n):
+    """A device set per vertex, each splitter angle 0.1 or pi/2 - 0.1."""
+    thetas = [rng.choice((0.1, math.pi / 2 - 0.1)) for _ in range(n)]
+    gammas = [rng.uniform(0, 2 * math.pi) for _ in range(n)]
+    return MultiportSpec(
+        n=n,
+        r=[1j * cmath.exp(1j * g) * math.sin(th) for th, g in zip(thetas, gammas)],
+        t=[cmath.exp(1j * g) * math.cos(th) for th, g in zip(thetas, gammas)],
+        mirror_factor=[cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)],
+        edge_phases=[rng.uniform(0, 2 * math.pi) for _ in range(n)],
+    )
+
+
+def test_float_solve_on_mirror_modes_matches_full_solve(capsys):
+    """Float ``long_time_matrix`` solves on the n mirror modes, because A
+    has no polygon-polygon and no mirror-mirror block.  On seeded devices
+    (reference, identical and heterogeneous, splitter angles at 0.1 and
+    pi/2 - 0.1) U equals the minimum-norm 3n x 3n solve and
+    ``reachable_dim`` the count of A's own eigenvalues."""
+    rng = random.Random(2323)
+    for trial in range(144):
+        n = 3 + trial % 6
+        kind = trial // 6 % 4
+        if kind == 0:
+            spec = MultiportSpec(n=n)
+        elif kind == 1:
+            spec = _random_float_spec(rng, 100)
+        elif kind == 2:
+            spec = _heterogeneous_spec(rng, "float", n, 100)
+        else:
+            spec = _extreme_spec(rng, n)
+        A, B, C = dense_step_operators(compile_spec(spec))
+        m = 2 * spec.n
+        assert not A[:m, :m].any() and not A[m:, m:].any(), spec
+        X = np.linalg.lstsq(np.eye(3 * spec.n) - A, B, rcond=None)[0]
+        trapped = int((np.abs(np.linalg.eigvals(A)) > 1 - device._TRAPPED_TOL).sum())
+        res = long_time_matrix(spec)
+        assert np.abs(res.matrix.to_numpy() - C @ X).max() < 1e-12, spec
+        assert res.reachable_dim == 3 * spec.n - trapped, spec
+        assert res.residual < 1e-12
+    assert cli.main(["unitary", "--n", "256", "--mode", "float"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["reachable_dim"] == 764
+
+
 def test_long_time_matrix_bounds_its_residual():
     with pytest.raises(ConvergenceError):
         long_time_matrix(MultiportSpec(n=5), tol=1e-300)

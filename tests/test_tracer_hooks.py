@@ -1,0 +1,40 @@
+"""The benchmark tracer replaces package functions and methods by name.
+
+A renamed or removed name would only fail a traced benchmark run
+(``perfbench/run.py --trace 1``); here it fails the test suite.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+from multiport import cli, device, exact, matrices, network
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def test_tracer_installs_and_uninstalls_on_the_package(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import tracing
+
+    owners = [(cli, "main"), (cli, "encode_matrix"), (device, "exit_record"),
+              (exact.ExactComplex, "__mul__"), (matrices.Matrix, "apply"),
+              (network.WalkEngine, "run")]
+    before = [getattr(owner, name) for owner, name in owners]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(getattr(o, n) is not f for (o, n), f in zip(owners, before))
+        for argv in (["unitary", "--n", "3"], ["exits", "--mode", "exact", "--steps", "4"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert tracer.op("cli", lambda: cli.main(argv)) == 0
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, name) for owner, name in owners] == before
+    metrics = tracer.layer_metrics()
+    assert metrics["cli.main.calls"][0] == 2
+    assert metrics["device.compile_spec.calls"][0] == 2
+    assert metrics["exact.ops"][0] > 0
+    assert tracer.totals["cli.encode"][0] > 0
