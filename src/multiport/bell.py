@@ -15,10 +15,21 @@ labels.  Reported ``probability`` is the squared norm of the projected
 component of the four-photon product built from unit-norm inputs; the
 bosonic enhancement of the product is exposed separately as
 ``product_norm_sq`` and the normalized ``herald_fraction``.
+
+The gate never builds the four-photon product or the Bell images.  Its
+herald sector (two photons at the herald port, one at each output port)
+is 12 amplitudes, each a signed sum of products of two permanents of at
+most 4 x 4 submatrices of the port matrix, one for the H and one for the
+V photons (Scheel, quant-ph/0406127; Aaronson and Arkhipov,
+arXiv:1011.3245).  A table row where the gate never heralds (the
+heralded state is zero) has no output label.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -32,9 +43,7 @@ from .states import (
     MultiPhotonState,
     apply_port_unitary,
     bosonic_product,
-    merge_occupations,
     occupation_key,
-    occupation_port_counts,
     port_label,
 )
 
@@ -137,28 +146,22 @@ def classify_bell(
     p, q = sorted(pair)
     if p < 0 or q >= state.n_ports:
         raise SpecError(f"pair {pair} outside ports 0..{state.n_ports - 1}")
+    if p == q:
+        raise SpecError("Bell pair ports must be distinct")
     F = exact.field(state.mode)
-
-    def amp(pol_p, pol_q):
-        return state.terms.get(occupation_key({(p, pol_p): 1, (q, pol_q): 1}), F.zero)
-
-    amplitudes = {"Psi": (amp(H, V), amp(V, H)), "Phi": (amp(H, H), amp(V, V))}
+    hh, hv, vh, vv = (state.terms.get((((p, a), 1), ((q, b), 1)), F.zero) for a, b in _PAIR_POLS)
     best = None
-    for family in FAMILIES:
-        x, y = amplitudes[family]
-        for sign in (1, -1):
-            label = BellLabel(family, sign, pair)
-            ov = x + y if sign > 0 else x - y  # sqrt2 times the overlap
+    for family, x, y in (("Psi", hv, vh), ("Phi", hh, vv)):
+        for sign, ov in ((1, x + y), (-1, x - y)):  # sqrt2 times the overlap
             frac = float(exact.abs_sq(ov)) / (2 * norm)
-            overlaps[label.short] = frac
+            overlaps[family + ("+" if sign > 0 else "-")] = frac
             if best is None or frac > best[0]:
-                best = (frac, label, ov)
-    frac, label, ov = best
+                best = (frac, family, sign, ov)
+    frac, family, sign, ov = best
     if frac < 1.0 - tol:
         return BellClassification(None, None, overlaps)
     phase = complex(ov * F.inv_sqrt2)
-    phase = phase / abs(phase)
-    return BellClassification(label, phase, overlaps)
+    return BellClassification(BellLabel(family, sign, pair), phase / abs(phase), overlaps)
 
 
 def intermediate_expansion(
@@ -186,44 +189,95 @@ class GateOutcome:
 
 #: Herald-port (H, V) photon counts of the herald sector's three branches.
 _HERALD_BRANCHES = ((2, 0), (1, 1), (0, 2))
+#: Polarizations of an output pair's four amplitudes, in the order they are kept.
+_PAIR_POLS = ((H, H), (H, V), (V, H), (V, V))
 
 
-def _counts_key(counts: Dict[int, int]) -> tuple:
-    return tuple(sorted((port, k) for port, k in counts.items() if k))
+class _Gate:
+    """The gate on one port matrix and one input/control port geometry.
 
-
-def _sector_product(
-    img_in: MultiPhotonState, img_ctrl: MultiPhotonState, herald: int, out_ports: Tuple[int, int]
-) -> Dict[Tuple[int, int], MultiPhotonState]:
-    """The herald sector of the bosonic product of two Bell images.
-
-    The sector is two photons at ``herald`` and one on each output port.
-    Only the image-term pairs whose per-port counts add up to it are
-    multiplied, and each output term receives its contributions in the
-    order ``bosonic_product`` adds them.  The result maps each herald
-    (H, V) count of ``_HERALD_BRANCHES`` to its branch, with the herald
-    modes stripped: a state on the output ports.
+    The H and V photons of an input x control term pair scatter
+    independently, so an amplitude of the herald sector is the sum over
+    the term pairs of their amplitudes times perm(U[H out, H in]) perm(U[V
+    out, V in]) / sqrt(prod n!), with n the photon counts per mode of the
+    output and of the two input terms (Scheel, quant-ph/0406127).  Each
+    permanent is expanded along its first column into minors one column
+    smaller; every minor, permanent and product of two is built once per
+    _Gate, so a ``process`` call or a table builds each once.
     """
-    mode = img_in.mode
-    target = {herald: 2, out_ports[0]: 1, out_ports[1]: 1}
-    ctrl_by_counts: Dict[tuple, list] = {}
-    for occ, amp in img_ctrl.terms.items():
-        ctrl_by_counts.setdefault(_counts_key(occupation_port_counts(occ)), []).append((occ, amp))
-    branches: Dict[Tuple[int, int], Dict] = {key: {} for key in _HERALD_BRANCHES}
-    for occ_in, a_in in img_in.terms.items():
-        need = dict(target)
-        for port, k in occupation_port_counts(occ_in).items():
-            need[port] = need.get(port, 0) - k  # a negative count has no partner
-        for occ_ctrl, a_ctrl in ctrl_by_counts.get(_counts_key(need), ()):
-            occ, amp = merge_occupations(occ_in, occ_ctrl, a_in * a_ctrl, mode)
-            counts = dict(occ)
-            branch = branches[counts.get((herald, H), 0), counts.get((herald, V), 0)]
-            rest = tuple((m, k) for m, k in occ if m[0] != herald)
-            cur = branch.get(rest)
-            branch[rest] = amp if cur is None else cur + amp
-    return {
-        key: MultiPhotonState(terms, img_in.n_ports, mode) for key, terms in branches.items()
-    }
+
+    def __init__(self, unitary: Matrix, herald: int, out_ports: Tuple[int, int]):
+        self.entries, self.n_ports, self.mode = unitary.rows, unitary.dim, unitary.mode
+        self.F, self.out_ports, self.built = exact.field(unitary.mode), out_ports, {}
+        # H photon count -> (slot, H rows, V rows) of the sector's 12 outputs:
+        # each herald branch x _PAIR_POLS.  Rows are in the order herald, out
+        # ports, so equal minors of two outputs have equal keys.
+        self.outputs: Dict[int, list] = {}
+        for slot, ((nh, nv), pols) in enumerate(itertools.product(_HERALD_BRANCHES, _PAIR_POLS)):
+            rows = ([herald] * nh, [herald] * nv)
+            for port, pol in zip(out_ports, pols):
+                rows[pol].append(port)
+            self.outputs.setdefault(len(rows[H]), []).append((slot, tuple(rows[H]), tuple(rows[V])))
+
+    def perm(self, rows: tuple, cols: tuple):
+        """The permanent of U[rows, cols], for tuples of ports of one length
+        with a port once per photon, equal ports next to each other."""
+        if len(cols) < 2:
+            return self.entries[rows[0]][cols[0]] if cols else self.F.one
+        value = self.built.get((rows, cols))
+        if value is None:
+            col, rest, terms = cols[0], cols[1:], []
+            for k, row in enumerate(rows):
+                u = self.entries[row][col]
+                if not self.F.is_zero(u):
+                    terms.append(u * self.perm(rows[:k] + rows[k + 1:], rest))
+            value = self.built[rows, cols] = sum(terms[1:], terms[0]) if terms else self.F.zero
+        return value
+
+    def sector(self, state_in: MultiPhotonState, state_ctrl: MultiPhotonState) -> list:
+        """The 12 herald-sector amplitudes of the product of the images of
+        two two-photon states."""
+        F, built = self.F, self.built
+        amps = [None] * 12
+        for occ_in, a_in in state_in.terms.items():
+            for occ_ctrl, a_ctrl in state_ctrl.terms.items():
+                coef = a_in * a_ctrl
+                cols = ([], [])
+                for (port, pol), k in occ_in + occ_ctrl:
+                    cols[pol].extend((port,) * k)
+                    if k > 1:
+                        coef = coef / F.sqrt_int(math.factorial(k))
+                cols_h, cols_v = tuple(sorted(cols[H])), tuple(sorted(cols[V]))
+                for slot, rows_h, rows_v in self.outputs.get(len(cols_h), ()):
+                    key = (rows_h, cols_h, rows_v, cols_v)
+                    term = built.get(key)
+                    if term is None:
+                        term = built[key] = self.perm(rows_h, cols_h) * self.perm(rows_v, cols_v)
+                    term = coef * term
+                    amps[slot] = term if amps[slot] is None else amps[slot] + term
+        # Two photons at the herald mode: the output norm 1/sqrt(2!).
+        return [F.zero if a is None else a if 4 <= slot < 8 else a * F.inv_sqrt2
+                for slot, a in enumerate(amps)]
+
+    def herald(self, amps: list, product_norm_sq: float, kind: str) -> GateOutcome:
+        """Apply one herald condition to the amplitudes of ``sector``."""
+        F, (b, c) = self.F, self.out_ports
+        if kind == "o":
+            heralded = amps[4:8]
+        else:
+            heralded = [(x + y) * F.inv_sqrt2 for x, y in zip(amps[:4], amps[8:])]
+        terms = {(((b, pb), 1), ((c, pc), 1)): a for (pb, pc), a in zip(_PAIR_POLS, heralded)}
+        state = MultiPhotonState(terms, self.n_ports, self.mode)
+        norm = state.norm_sq()
+        branches = amps[:4] + amps[8:]  # the same-polarization branches
+        prob_scalar = norm if kind == "o" else sum(
+            (exact.abs_sq(a) for a in branches if not F.is_zero(a)), F.real_zero)
+        probability = float(prob_scalar)
+        cls = classify_bell(state, self.out_ports)  # no label when zero
+        fraction = probability / product_norm_sq if product_norm_sq else 0.0
+        exact_prob = prob_scalar if self.mode == "exact" else None
+        return GateOutcome(cls.label, cls.phase, probability, exact_prob, float(norm), fraction,
+                           product_norm_sq, state)
 
 
 def _gate_unitary(unitary: Optional[Matrix], mode: Optional[str]) -> Matrix:
@@ -234,12 +288,17 @@ def _gate_unitary(unitary: Optional[Matrix], mode: Optional[str]) -> Matrix:
     exactly in exact mode, to 1e-12 in float mode.
     """
     if unitary is None:
-        return triport_unitary(mode or "exact")
+        mode = mode or "exact"
+        exact.field(mode)  # an unknown mode is a SpecError
+        return _reference_gate(mode)
     if mode is not None and mode != unitary.mode:
         raise SpecError("mode disagrees with the supplied unitary")
     if not unitary.is_unitary():
         raise SpecError("the gate matrix is not unitary")
     return unitary
+
+
+_reference_gate = functools.cache(triport_unitary)  # built on first use; a Matrix is immutable
 
 
 def _gate_ports(input_pair: Tuple[int, int], control_pair: Tuple[int, int]):
@@ -254,55 +313,6 @@ def _gate_ports(input_pair: Tuple[int, int], control_pair: Tuple[int, int]):
     return herald, out_ports
 
 
-def _herald(
-    branches: Dict[Tuple[int, int], MultiPhotonState],
-    product_norm_sq: float,
-    kind: str,
-    out_ports: Tuple[int, int],
-) -> GateOutcome:
-    """Apply one herald condition to the herald branches of a product."""
-    mode = branches[1, 1].mode
-    if kind == "o":
-        heralded = branches[1, 1]
-        prob_scalar = heralded.norm_sq()
-    else:
-        two_h, two_v = branches[2, 0], branches[0, 2]
-        prob_scalar = two_h.norm_sq() + two_v.norm_sq()
-        heralded = (two_h + two_v).scaled(exact.field(mode).inv_sqrt2)
-    probability = float(prob_scalar)
-    label = phase = None
-    if not heralded.is_zero():
-        cls = classify_bell(heralded, out_ports)
-        label, phase = cls.label, cls.phase
-    return GateOutcome(
-        label,
-        phase,
-        probability,
-        prob_scalar if mode == "exact" else None,
-        float(heralded.norm_sq()),
-        probability / product_norm_sq if product_norm_sq else 0.0,
-        product_norm_sq,
-        heralded,
-    )
-
-
-def _bell_and_image(unitary: Matrix, label: BellLabel):
-    state = bell_state(label, unitary.dim, unitary.mode)
-    return state, apply_port_unitary(unitary, state)
-
-
-def _heralded_product(bell_in, bell_ctrl, herald, out_ports):
-    """(herald branches, squared norm) of the four-photon product.
-
-    ``bell_in`` and ``bell_ctrl`` are (Bell state, image) pairs.  The
-    Fock-space map of a unitary preserves norms, so the product of the
-    images has the norm of the product of the Bell states: four terms.
-    """
-    (state_in, img_in), (state_ctrl, img_ctrl) = bell_in, bell_ctrl
-    product_norm_sq = float(bosonic_product(state_in, state_ctrl).norm_sq())
-    return _sector_product(img_in, img_ctrl, herald, out_ports), product_norm_sq
-
-
 def process(
     input_label: BellLabel,
     control_label: BellLabel,
@@ -310,23 +320,17 @@ def process(
     unitary: Optional[Matrix] = None,
     mode: Optional[str] = None,
 ) -> GateOutcome:
-    """Run the four-photon gate for one input/control pair.
-
-    Pipeline: apply the port matrix to each Bell state photon-wise, take
-    the sector of their bosonic product with two photons at the herald
-    port and one at each output port, then apply the herald condition and
-    classify what remains on the output pair.
-    """
+    """Run the four-photon gate for one input/control pair: its herald
+    sector from products of permanents of the port matrix (``_Gate``),
+    then the herald condition on the output pair's four amplitudes, which
+    are classified as a Bell state."""
     unitary = _gate_unitary(unitary, mode)
     herald, out_ports = _gate_ports(input_label.pair, control_label.pair)
-    cond = HeraldCondition(condition, herald)
-    branches, product_norm_sq = _heralded_product(
-        _bell_and_image(unitary, input_label),
-        _bell_and_image(unitary, control_label),
-        herald,
-        out_ports,
-    )
-    return _herald(branches, product_norm_sq, cond.kind, out_ports)
+    kind = HeraldCondition(condition, herald).kind
+    gate = _Gate(unitary, herald, out_ports)
+    states = [bell_state(label, unitary.dim, unitary.mode)
+              for label in (input_label, control_label)]
+    return gate.herald(gate.sector(*states), float(bosonic_product(*states).norm_sq()), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +344,8 @@ _ORDER = ("Psi+", "Psi-", "Phi+", "Phi-")
 class TruthTableRow:
     input: str
     control: str
-    out_s: str
-    out_o: str
+    out_s: Optional[str]  # None where the gate never heralds
+    out_o: Optional[str]
     prob_s: float
     prob_o: float
 
@@ -362,28 +366,32 @@ def _outcomes(
 ) -> Dict[Tuple[str, str, str], GateOutcome]:
     """``process`` for every (input, control, condition), keyed that way.
 
-    Each Bell image, and each input x control herald sector with its
-    norm, is built once and read by every condition.
+    Each permanent of the port matrix is built once for the whole table,
+    and each input x control herald sector once for every condition.
     """
     labels_in = [parse_bell_short(short, input_pair) for short in in_shorts]
     labels_ctrl = [parse_bell_short(short, control_pair) for short in ctrl_shorts]
     unitary = _gate_unitary(unitary, None if unitary is not None else mode)
     herald, out_ports = _gate_ports(labels_in[0].pair, labels_ctrl[0].pair)
-    bells_ctrl = [_bell_and_image(unitary, label) for label in labels_ctrl]
+    gate = _Gate(unitary, herald, out_ports)
+    states_ctrl = [bell_state(label, unitary.dim, unitary.mode) for label in labels_ctrl]
     out = {}
     for in_short, label_in in zip(in_shorts, labels_in):
-        bell_in = _bell_and_image(unitary, label_in)
-        for ctrl_short, bell_ctrl in zip(ctrl_shorts, bells_ctrl):
-            branches, product_norm_sq = _heralded_product(bell_in, bell_ctrl, herald, out_ports)
+        state_in = bell_state(label_in, unitary.dim, unitary.mode)
+        for ctrl_short, state_ctrl in zip(ctrl_shorts, states_ctrl):
+            amps = gate.sector(state_in, state_ctrl)
+            norm_sq = float(bosonic_product(state_in, state_ctrl).norm_sq())
             for cond in conditions:
-                out[in_short, ctrl_short, cond] = _herald(
-                    branches, product_norm_sq, cond, out_ports
-                )
+                out[in_short, ctrl_short, cond] = gate.herald(amps, norm_sq, cond)
     return out
 
 
-def _output_short(out: GateOutcome, in_short: str, ctrl_short: str) -> str:
+def _output_short(out: GateOutcome, in_short: str, ctrl_short: str) -> Optional[str]:
+    """The row's output label, None where the gate never heralds (the
+    heralded state is zero); a nonzero output must be a Bell state."""
     if out.output is None:
+        if out.heralded_state.is_zero():
+            return None
         raise InvariantViolation(
             f"gate output for ({in_short}, {ctrl_short}) is not a Bell state"
         )
@@ -418,10 +426,10 @@ def full_truth_table(
 class CnotRow:
     input_bit: int
     control_bit: int
-    output_bit: int
+    output_bit: Optional[int]  # None where the gate never heralds
     input: str
     control: str
-    output: str
+    output: Optional[str]
 
 
 def cnot_table(unitary: Optional[Matrix] = None, mode: str = "exact") -> List[CnotRow]:
@@ -429,24 +437,25 @@ def cnot_table(unitary: Optional[Matrix] = None, mode: str = "exact") -> List[Cn
 
     Inputs and controls are the polarization-interchange-odd pair
     (Psi +/-), outputs the even pair (Phi +/-); + encodes bit 0 and -
-    encodes bit 1 for both families.
+    encodes bit 1 for both families.  A row where the gate never heralds
+    has no output.
     """
     psi = ("Psi+", "Psi-")
     outcomes = _outcomes(psi, psi, ("s",), unitary, mode, (0, 1), (0, 2))
     rows = []
     for in_short in psi:
         for ctrl_short in psi:
-            out = outcomes[in_short, ctrl_short, "s"]
-            if out.output is None or out.output.family != "Phi":
+            out = _output_short(outcomes[in_short, ctrl_short, "s"], in_short, ctrl_short)
+            if out is not None and not out.startswith("Phi"):
                 raise InvariantViolation("CNOT rows must produce Phi-type outputs")
             rows.append(
                 CnotRow(
                     0 if in_short.endswith("+") else 1,
                     0 if ctrl_short.endswith("+") else 1,
-                    0 if out.output.sign > 0 else 1,
+                    None if out is None else 0 if out.endswith("+") else 1,
                     in_short,
                     ctrl_short,
-                    out.output.short,
+                    out,
                 )
             )
     return rows
@@ -469,13 +478,13 @@ class GroupAxiomReport:
 @dataclass
 class GroupTable:
     elements: Tuple[str, ...]
-    products: Dict[Tuple[str, str], str]
+    products: Dict[Tuple[str, str], Optional[str]]  # None where the gate never heralds
     axioms: GroupAxiomReport
 
-    def cell(self, a: str, b: str) -> str:
+    def cell(self, a: str, b: str) -> Optional[str]:
         return self.products[(a, b)]
 
-    def as_grid(self) -> List[List[str]]:
+    def as_grid(self) -> List[List[Optional[str]]]:
         return [[self.products[(a, b)] for b in self.elements] for a in self.elements]
 
 

@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,40 +70,29 @@ def parse_complex(text) -> complex:
         raise ConfigError(f"bad complex value {text!r}") from err
 
 
-# JSON names of an exact scalar part's (rational, sqrt2, sqrt3, sqrt6) coefficients.
-_NAMES = ("rational", "sqrt2", "sqrt3", "sqrt6")
-
-
-def _frac_pair(f: Fraction):
-    return [f.numerator, f.denominator]
+class _ExactReal(tuple):
+    """(value,): the real part of an exact scalar, as a payload value."""
 
 
 def encode_real(value, mode: str):
-    if mode == "exact":
-        out = {n: _frac_pair(c) for n, c in zip(_NAMES, value.re_coefficients) if c}
-        if not out:
-            out["rational"] = [0, 1]
-        out["approx"] = complex(value).real
-        return out
-    return float(value)
+    """A float, or in exact mode the real part, which ``to_json`` writes as
+    {"approx": float, "rational": [num, den], ...} ("rational": [0, 1] for 0)."""
+    return _ExactReal((value,)) if mode == "exact" else float(value)
 
 
 def encode_scalar(value, mode: str):
+    """[re, im], or in exact mode the scalar itself, which ``to_json``
+    writes as {"approx": [re, im], "im": {...}, "re": {...}, "text": ...}."""
     if mode == "exact":
-        re = {n: _frac_pair(c) for n, c in zip(_NAMES, value.re_coefficients) if c}
-        im = {n: _frac_pair(c) for n, c in zip(_NAMES, value.im_coefficients) if c}
-        z = complex(value)
-        return {"re": re, "im": im, "approx": [z.real, z.imag], "text": str(value)}
+        return value
     z = complex(value)
     return [z.real, z.imag]
 
 
 def encode_matrix(m: Matrix):
     """A float matrix as its complex array (written as rows of [re, im]
-    pairs), an exact one as rows of encoded scalars."""
-    if m.mode == "float":
-        return m.to_numpy()
-    return [[encode_scalar(v, m.mode) for v in row] for row in m.rows]
+    pairs), an exact one as its rows of scalars."""
+    return m.to_numpy() if m.mode == "float" else m.rows
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -134,14 +122,54 @@ def _array_layout(shape: tuple, level: int) -> str:
     return "[" + pad + items + "\n" + "  " * level + "]"
 
 
+# JSON names of an exact scalar part's (rational, sqrt2, sqrt3, sqrt6) coefficients.
+_NAMES = ("rational", "sqrt2", "sqrt3", "sqrt6")
+
+
+@functools.lru_cache(maxsize=64)
+def _exact_layout(level: int) -> tuple:
+    """% formats at indent ``level``: an exact scalar's dict (holes: approx
+    re and im, "im", "re", "text"), its parts' pieces (open, separator,
+    close) and members; the texts of zero as a scalar and as a real."""
+    p1, p2, p3 = ("\n" + "  " * (level + k) for k in (1, 2, 3))
+    scalar = ("{" + p1 + '"approx": [' + p2 + "%s," + p2 + "%s" + p1 + "]," + p1 + '"im": %s,'
+              + p1 + '"re": %s,' + p1 + '"text": %s' + p1[:-2] + "}")
+    member = '"%s": [' + p3 + "%d," + p3 + "%d" + p2 + "]"
+    zeros = (scalar % ("0.0", "0.0", "{}", "{}", '"0"'),
+             "{" + p2 + '"approx": 0.0,' + p2 + member % ("rational", 0, 1) + p1 + "}")
+    return scalar, ("{" + p2, "," + p2, p1 + "}"), member, zeros
+
+
+def _exact_json(obj, level: int) -> str:
+    """An exact scalar, or an ``_ExactReal`` (a dict like a scalar's parts,
+    one level up), written from its integers."""
+    real = type(obj) is _ExactReal
+    scalar, (open_, sep, close), member, zeros = _exact_layout(level - real)
+    value = obj[0] if real else obj
+    if value.is_zero():
+        return zeros[real]
+    pairs, z = value.lowest_terms(), complex(value)
+    re = [member % (name, num, den) for name, (num, den) in zip(_NAMES, pairs[:4]) if num]
+    if real:
+        re = re or [member % ("rational", 0, 1)]
+        return open_ + '"approx": ' + _json_float(z.real) + sep + sep.join(re) + close
+    im = [member % (name, num, den) for name, (num, den) in zip(_NAMES, pairs[4:]) if num]
+    im, re = (open_ + sep.join(items) + close if items else "{}" for items in (im, re))
+    text = _json_str(exact.scalar_text(pairs))
+    return scalar % (_json_float(z.real), _json_float(z.imag), im, re, text)
+
+
 def to_json(obj, level: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
     dicts with str keys.  A float or complex ndarray is written as
     ``json.dumps`` writes its ``tolist()``, each complex entry as [re, im],
-    one float repr at a time."""
+    one float repr at a time; an exact scalar as the dict of ``encode_scalar``
+    or ``encode_real``."""
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)
+    if type(obj) in (exact.ExactComplex, _ExactReal):
+        return _exact_json(obj, level)
     if isinstance(obj, str):
         return _json_str(obj)
     if isinstance(obj, int):
@@ -292,10 +320,9 @@ def device_spec(args, cfg) -> device.MultiportSpec:
 def cmd_exits(args, cfg):
     spec = device_spec(args, cfg)
     record = device.exit_record(spec, port_index(args.input), args.steps)
+    amplitudes = [step.amplitudes for step in record.steps]  # exact scalars as they are
     if record.mode == "float":
-        amplitudes = np.array([step.amplitudes for step in record.steps], dtype=complex)
-    else:
-        amplitudes = [[encode_scalar(a, "exact") for a in s.amplitudes] for s in record.steps]
+        amplitudes = np.array(amplitudes, dtype=complex)
     rows = []
     for step, amps in zip(record.steps, amplitudes):
         rows.append(
@@ -535,17 +562,18 @@ def cmd_walk(args, cfg):
     if "schedule" in gcfg:
         schedule = _schedule_from_config(gcfg["schedule"], mode)
     result = engine.run(args.input_lead, args.steps, schedule)
+    amplitudes = [s.lead_step_amplitudes for s in result.steps]  # exact scalars as they are
+    if mode == "float":
+        amplitudes = np.array(amplitudes, dtype=complex)
     steps = []
-    for s in result.steps:
+    for s, amps in zip(result.steps, amplitudes):
         steps.append(
             {
                 "index": s.index,
                 "edges": {
                     f"{e}->{v}": p for (e, v), p in sorted(s.edge_probabilities.items())
                 },
-                "lead_step_amplitudes": [
-                    encode_scalar(a, mode) for a in s.lead_step_amplitudes
-                ],
+                "lead_step_amplitudes": amps,
                 "lead_cumulative_probability": list(s.lead_cumulative_probability),
                 "internal_probability": s.internal_probability,
             }
@@ -622,8 +650,8 @@ def build_parser() -> _Parser:
         help="enumerate paths between two ports",
         description="List every path between two ports with the given number of "
         "beam-splitter encounters. At most 65536 paths are listed; the cap bounds "
-        "their count, not the time: in exact mode 43690 paths at length 34 take "
-        "about 5 s, 2 s to list and the rest to print.",
+        "their count, not the time: in exact mode 43691 paths at length 34 take "
+        "2-3 s, under half of it to list and the rest to print.",
     )
     common(p, True)
     p.add_argument("--input", default="A")

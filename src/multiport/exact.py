@@ -88,10 +88,6 @@ def _coerce(other):
     return None
 
 
-def _fractions(nums, den) -> tuple:
-    return tuple(Fraction(c, den) if c else _FRACTION_ZERO for c in nums)
-
-
 def _real_part(n0, n1, n2, n3, d) -> float:
     # Int true division is correctly rounded, so n/d is float(Fraction(n, d)).
     return n0 / d + n1 / d * _SQRT2_F + n2 / d * _SQRT3_F + n3 / d * _SQRT6_F
@@ -115,11 +111,20 @@ class ExactComplex:
     @property
     def re_coefficients(self) -> tuple:
         """(rational, sqrt2, sqrt3, sqrt6) Fractions of the real part."""
-        return _fractions(self._n[:4], self._d)
+        return tuple(Fraction(*pair) for pair in self.lowest_terms()[:4])
 
     @property
     def im_coefficients(self) -> tuple:
-        return _fractions(self._n[4:], self._d)
+        return tuple(Fraction(*pair) for pair in self.lowest_terms()[4:])
+
+    def lowest_terms(self) -> tuple:
+        """The eight coefficients, re then im, as (numerator, denominator)
+        pairs in lowest terms, (0, 1) for zero: no Fraction is built."""
+        d, pairs = self._d, []
+        for n in self._n:
+            g = gcd(n, d) if n else d
+            pairs.append((n // g, d // g))
+        return tuple(pairs)
 
     # -- predicates ------------------------------------------------------
 
@@ -143,6 +148,10 @@ class ExactComplex:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if o._n == _ZERO8:
+            return self
+        if self._n == _ZERO8:
+            return o
         a0, a1, a2, a3, a4, a5, a6, a7 = self._n
         b0, b1, b2, b3, b4, b5, b6, b7 = o._n
         da = self._d
@@ -179,6 +188,8 @@ class ExactComplex:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if self._n == _ZERO8 or o._n == _ZERO8:
+            return ZERO
         # (re_a + i im_a)(re_b + i im_b) with the Q(sqrt2, sqrt3) table:
         # sqrt2^2 = 2, sqrt3^2 = 3, sqrt6^2 = 6, sqrt2 sqrt3 = sqrt6,
         # sqrt2 sqrt6 = 2 sqrt3, sqrt3 sqrt6 = 3 sqrt2.
@@ -274,6 +285,8 @@ class ExactComplex:
 
     def abs_sq(self) -> "ExactComplex":
         """|z|^2 as an exact (real) scalar."""
+        if self._n == _ZERO8:
+            return self
         a0, a1, a2, a3, a4, a5, a6, a7 = self._n
         return _reduced(
             a0 * a0 + a4 * a4 + 2 * (a1 * a1 + a5 * a5) + 3 * (a2 * a2 + a6 * a6)
@@ -316,29 +329,8 @@ class ExactComplex:
 
     # -- rendering ---------------------------------------------------------
 
-    @staticmethod
-    def _part_str(quad) -> str:
-        names = ("", "*sqrt2", "*sqrt3", "*sqrt6")
-        pieces = []
-        for coeff, name in zip(quad, names):
-            if not coeff:
-                continue
-            if not pieces:
-                pieces.append(f"{coeff}{name}")
-            elif coeff > 0:
-                pieces.append(f"+ {coeff}{name}")
-            else:
-                pieces.append(f"- {-coeff}{name}")
-        return " ".join(pieces) if pieces else "0"
-
     def __str__(self):
-        re_s = self._part_str(self.re_coefficients)
-        im_s = self._part_str(self.im_coefficients)
-        if im_s == "0":
-            return re_s
-        if re_s == "0":
-            return f"({im_s})*i"
-        return f"({re_s}) + ({im_s})*i"
+        return scalar_text(self.lowest_terms())
 
     def __repr__(self):
         return f"ExactComplex({self})"
@@ -363,6 +355,26 @@ EIGHTH_ROOTS = (
     -I,
     ExactComplex((0, Fraction(1, 2), 0, 0), (0, Fraction(-1, 2), 0, 0)),
 )
+
+
+def _part_text(pairs) -> str:
+    pieces = []
+    for (num, den), name in zip(pairs, ("", "*sqrt2", "*sqrt3", "*sqrt6")):
+        if not num:
+            continue
+        coeff = f"{abs(num) if pieces else num}" + (f"/{den}" if den != 1 else "") + name
+        pieces.append(coeff if not pieces else ("+ " if num > 0 else "- ") + coeff)
+    return " ".join(pieces) if pieces else "0"
+
+
+def scalar_text(pairs) -> str:
+    """``str`` of a scalar from its ``lowest_terms``, as "(re) + (im)*i"."""
+    re_s, im_s = _part_text(pairs[:4]), _part_text(pairs[4:])
+    if im_s == "0":
+        return re_s
+    if re_s == "0":
+        return f"({im_s})*i"
+    return f"({re_s}) + ({im_s})*i"
 
 
 def eighth_root(k: int) -> ExactComplex:

@@ -62,13 +62,6 @@ def occupation_photons(occ: Occupation) -> int:
     return sum(c for _m, c in occ)
 
 
-def occupation_port_counts(occ: Occupation) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for (port, _pol), c in occ:
-        out[port] = out.get(port, 0) + c
-    return out
-
-
 def occupation_str(occ: Occupation) -> str:
     return " ".join(f"{c}{POL_NAMES[pol]}{port_label(port)}" for (port, pol), c in occ)
 
@@ -107,11 +100,6 @@ class MultiPhotonState:
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def single(cls, port: int, pol: int, n_ports: int, mode: str = "float") -> "MultiPhotonState":
-        amp = exact.field(mode).one
-        return cls({occupation_key({(port, pol): 1}): amp}, n_ports, mode)
 
     @classmethod
     def zero(cls, n_ports: int, mode: str = "float") -> "MultiPhotonState":
@@ -227,24 +215,16 @@ def bosonic_product(
     out: Dict[Occupation, object] = {}
     for occ1, a1 in s1.terms.items():
         for occ2, a2 in s2.terms.items():
-            key, amp = merge_occupations(occ1, occ2, a1 * a2, mode)
+            combined, amp = dict(occ1), a1 * a2
+            for m, c in occ2:
+                prev = combined.get(m, 0)
+                combined[m] = prev + c
+                if prev:  # binomial(prev + c, c) is one of {2, 3, 4, 6} here
+                    amp = amp * exact.field(mode).sqrt_int(math.comb(prev + c, c))
+            key = occupation_key(combined)
             cur = out.get(key)
             out[key] = amp if cur is None else cur + amp
     return MultiPhotonState(out, s1.n_ports, mode)
-
-
-def merge_occupations(occ1: Occupation, occ2: Occupation, amp, mode: str):
-    """(occupation, amplitude) of the product of two number states with
-    amplitude product ``amp``: each mode the two share multiplies ``amp``
-    by the bosonic enhancement sqrt((c+d)! / (c! d!))."""
-    combined = dict(occ1)
-    for m, c in occ2:
-        prev = combined.get(m, 0)
-        combined[m] = prev + c
-        if prev:
-            # binomial(prev + c, c) is one of {2, 3, 4, 6} here
-            amp = amp * exact.field(mode).sqrt_int(math.comb(prev + c, c))
-    return occupation_key(combined), amp
 
 
 def apply_port_unitary(unitary, state: MultiPhotonState) -> MultiPhotonState:

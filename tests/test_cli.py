@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import multiport
-from multiport import device
+from multiport import cli, device, exact
 from multiport.cli import build_parser, main, parse_complex, to_json
 from multiport.errors import ConfigError
 from multiport.matrices import Matrix
@@ -157,6 +158,49 @@ def test_exact_output_matches_recorded_digest(capsys, argv, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of more exact stdout: every exact walk config, a 4-port device
+# with pi/4 mirror and edge phases (written by the test as PHASED_DEVICE),
+# and a long exit table.  "{device}" stands for that config's path.
+PHASED_DEVICE = {"device": {"n": 4, "mirror_phase": [k * math.pi / 4 for k in (1, 2, 5, 7)],
+                            "edge_phase": [k * math.pi / 4 for k in (3, 0, 6, 1)]}}
+_MORE_EXACT_DIGESTS = [
+    (("walk", "--config", os.path.join(CONFIG_DIR, "walk_single_triport.json")), "json",
+     "3459eb64e1d482df90fbb412cc92a0bcbdafe9a4e90bd83d60aa09840fac5ad4"),
+    (("walk", "--config", os.path.join(CONFIG_DIR, "walk_single_triport.json")), "csv",
+     "484f93d14f79204855240a94af5458f52d141b69893b4742fdc269e7903d355e"),
+    (("walk", "--config", os.path.join(CONFIG_DIR, "walk_triangle_ideal.json")), "json",
+     "6474c4feccf75efe66017aa0ca0c7a43eee529676bd093f75123ca5631e3c17e"),
+    (("walk", "--config", os.path.join(CONFIG_DIR, "walk_triangle_ideal.json")), "csv",
+     "73c05012e51f1722f471e39241a24991c55437b8e6d7728f2afa01c550899edc"),
+    (("walk", "--config", os.path.join(CONFIG_DIR, "walk_two_triports.json")), "json",
+     "ddfaf1f1153b32c9aea6742c30ac2fcaeaacae20b33d08c2262a3a0015bfd2ce"),
+    (("walk", "--config", os.path.join(CONFIG_DIR, "walk_two_triports.json")), "csv",
+     "93ef93abc3e1d538dd2492caed1cf7155a706e81c25057aa76c1dbe734b81b8b"),
+    (("exits", "--config", "{device}", "--input", "B", "--steps", "12"), "json",
+     "feaad86130873f083e3be78a7a339b89cb6131c089904faba1341b4eabcb44f2"),
+    (("exits", "--config", "{device}", "--input", "B", "--steps", "12"), "csv",
+     "6ccb93af4e798d702e7168801b40cb24f6eb6df0e9f2f0e15c7a6a77bb28267b"),
+    (("paths", "--config", "{device}", "--input", "A", "--exit", "C", "--length", "8"), "json",
+     "124e263165b6bdb43aef0182e0775240829e31d55982502e457385f2ca81c41c"),
+    (("paths", "--config", "{device}", "--input", "A", "--exit", "C", "--length", "8"), "csv",
+     "d3c871a8331a0ce9d3f319ea95781583b46c91a6bb1ed8547974c4de4409f124"),
+    (("exits", "--steps", "40"), "json",
+     "6165f0400be768646f9c9bdeb3c51031e4531fcd6edfde261524440b2ddf1e45"),
+    (("exits", "--steps", "40"), "csv",
+     "08b8b18e779f22e3c7316e66bdcbd826888ca6bcfa976f2525e64d8d275cc3cd"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, digest", _MORE_EXACT_DIGESTS)
+def test_more_exact_output_matches_recorded_digest(capsys, tmp_path, argv, fmt, digest):
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(PHASED_DEVICE))
+    argv = [str(path) if a == "{device}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--mode", "exact", "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _as_lists(obj):
     """``obj`` with each ndarray replaced by its ``tolist()``, every
     complex entry as [re, im]: what ``to_json`` writes for it."""
@@ -199,6 +243,121 @@ def test_writer_equals_json_dumps(payload):
     +-Infinity, -0.0, huge ints, bools, np.float64, and float and complex
     arrays (0-length axes and non-finite entries included) as their lists."""
     assert to_json(payload) == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
+
+
+# The exact encodings as dicts, as the CLI built them before ``to_json``
+# wrote exact scalars from their integers: the reference that writer must
+# match byte for byte, with each coefficient a Fraction and the text built
+# from those Fractions.
+_COEFFICIENT_NAMES = ("rational", "sqrt2", "sqrt3", "sqrt6")
+
+
+def _reference_text(value):
+    def part(quad):
+        pieces = []
+        for coeff, name in zip(quad, ("", "*sqrt2", "*sqrt3", "*sqrt6")):
+            if coeff:
+                if not pieces:
+                    pieces.append(f"{coeff}{name}")
+                else:
+                    pieces.append(f"+ {coeff}{name}" if coeff > 0 else f"- {-coeff}{name}")
+        return " ".join(pieces) if pieces else "0"
+
+    re_s, im_s = part(value.re_coefficients), part(value.im_coefficients)
+    if im_s == "0":
+        return re_s
+    return f"({im_s})*i" if re_s == "0" else f"({re_s}) + ({im_s})*i"
+
+
+def _reference_part(coefficients):
+    return {n: [c.numerator, c.denominator] for n, c in zip(_COEFFICIENT_NAMES, coefficients) if c}
+
+
+def _reference_encode_real(value):
+    out = _reference_part(value.re_coefficients)
+    if not out:
+        out["rational"] = [0, 1]
+    out["approx"] = complex(value).real
+    return out
+
+
+def _reference_encode_scalar(value):
+    re, im = _reference_part(value.re_coefficients), _reference_part(value.im_coefficients)
+    z = complex(value)
+    return {"re": re, "im": im, "approx": [z.real, z.imag], "text": _reference_text(value)}
+
+
+class _Exact:
+    """A payload leaf: an exact scalar, encoded whole or as its real part."""
+
+    def __init__(self, value, real):
+        self.value, self.real = value, real
+
+
+def _encoded(payload, reference):
+    if isinstance(payload, _Exact):
+        if reference:
+            encode = _reference_encode_real if payload.real else _reference_encode_scalar
+            return encode(payload.value)
+        return (cli.encode_real if payload.real else cli.encode_scalar)(payload.value, "exact")
+    if isinstance(payload, list):
+        return [_encoded(v, reference) for v in payload]
+    if isinstance(payload, dict):
+        return {k: _encoded(v, reference) for k, v in payload.items()}
+    return payload
+
+
+def _exact_from(mask, numerators, den):
+    """The scalar whose eight numerators over ``den`` are ``numerators``
+    where ``mask`` has a bit set and 0 elsewhere."""
+    nums = [n if mask >> k & 1 else 0 for k, n in enumerate(numerators)]
+    return exact.ExactComplex(
+        tuple(Fraction(n, den) for n in nums[:4]), tuple(Fraction(n, den) for n in nums[4:])
+    )
+
+
+_NUMERATORS = st.one_of(
+    st.integers(-60, 60).filter(bool), st.integers(2 ** 64, 2 ** 130),
+    st.integers(2 ** 64, 2 ** 130).map(lambda i: -i),
+)
+_DENOMINATORS = st.one_of(st.integers(1, 720), st.integers(2 ** 64, 2 ** 130))
+_EXACT_SCALARS = st.builds(
+    _exact_from, st.integers(0, 255), st.lists(_NUMERATORS, min_size=8, max_size=8), _DENOMINATORS
+)
+_EXACT_PAYLOADS = st.recursive(
+    st.one_of(st.builds(_Exact, _EXACT_SCALARS, st.booleans()), st.integers(), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_EXACT_PAYLOADS)
+def test_writer_writes_exact_scalars_as_their_dicts(payload):
+    """Exact scalars, whole (``encode_scalar``) and real parts
+    (``encode_real``), nested in lists and dicts at several depths, are
+    written as ``json.dumps`` writes the dicts they used to be encoded
+    as: any zero/nonzero pattern of the numerators, zero, negative and
+    huge numerators, large denominators."""
+    want = json.dumps(_encoded(payload, True), indent=2, sort_keys=True)
+    assert to_json(_encoded(payload, False)) == want
+
+
+def test_writer_writes_every_numerator_pattern():
+    """Each of the 256 zero/nonzero patterns of the eight numerators, at
+    two depths, whole and as a real part, over a small and a huge
+    denominator."""
+    for den, numerators in ((12, (3, -4, 5, -6, 7, 8, -9, 10)),
+                            (3 ** 50, (2 ** 70, -5, 3 ** 49, -(2 ** 65), 1, -1, 6 ** 30, 7))):
+        for mask in range(256):
+            value = _exact_from(mask, numerators, den)
+            whole, real = _Exact(value, False), _Exact(value, True)
+            payload = {"a": [whole, {"b": real}], "c": whole}
+            want = json.dumps(_encoded(payload, True), indent=2, sort_keys=True)
+            assert to_json(_encoded(payload, False)) == want, mask
+            assert str(value) == _reference_text(value)
 
 
 def test_writer_refuses_what_json_dumps_refuses():
@@ -320,6 +479,27 @@ def test_walk_single_vertex_matches_reference_cumulative(capsys):
     assert cum[1] == pytest.approx(0.5)
     assert cum[3] == pytest.approx(0.875)
     assert cum[9] == pytest.approx(0.998046875)
+
+
+def test_float_walk_writes_the_lead_amplitudes_of_its_run(capsys):
+    """Float ``walk`` writes each step's lead amplitudes as [re, im] pairs
+    of the run's own amplitudes, bit for bit, on every walk config."""
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        if not name.startswith("walk_"):
+            continue
+        path = os.path.join(CONFIG_DIR, name)
+        payload = run_json(capsys, "walk", "--config", path, "--steps", "30", "--mode", "float")
+        with open(path, encoding="utf-8") as fh:
+            walk = json.load(fh)["walk"]
+        spec = cli._graph_from_config(walk, "float")
+        schedule = walk.get("schedule")
+        if schedule is not None:
+            schedule = cli._schedule_from_config(schedule, "float")
+        result = multiport.build_network(spec).run(0, 30, schedule)
+        for written, step in zip(payload["data"]["steps"], result.steps, strict=True):
+            assert written["lead_step_amplitudes"] == [
+                [complex(a).real, complex(a).imag] for a in step.lead_step_amplitudes
+            ], name
 
 
 def test_walk_with_schedule_runs(capsys):
