@@ -13,9 +13,10 @@ a device's local modes, with the mirror and edge factors folded into the
 weights and the path letters attached.  Everything else reads those rows:
 ``gather_table`` makes them one gather table, which ``gather_steps``, the
 one stepping kernel, runs for ``exit_record``, exact ``steady_state`` and
-every walk (``network``); the one-step matrices and physical walk vertices
-are filled from the table, exact ``long_time_matrix`` steps a sparse state
-through the rows, and ``enumerate_paths`` searches them.
+every walk (``network``); the one-step matrices, from which
+``long_time_matrix`` solves in both numeric modes, and physical walk
+vertices are filled from the table, and ``enumerate_paths`` searches the
+rows.
 
 One step is one segment traversal: an inter-vertex edge, or the full
 mirror round trip (both take the same time).  N counts beam-splitter
@@ -235,26 +236,6 @@ def step_rows(dev: CompiledMultiport) -> list:
     return rows
 
 
-def _successors(rows: list) -> list:
-    """The step rows by source: successors[source] = [(output, weight, symbol), ...]."""
-    successors = [[] for _ in rows]  # one row per output, one output per mode
-    for out, terms in rows:
-        for src, weight, symbol in terms:
-            successors[src].append((out, weight, symbol))
-    return successors
-
-
-def _sparse_step(successors: list, state: dict) -> dict:
-    """One step of a sparse state {mode: amplitude} through the step
-    rows; amplitudes that cancel to zero are kept."""
-    new = {}
-    for src, amp in state.items():
-        for out, weight, _symbol in successors[src]:
-            term = amp * weight
-            new[out] = new[out] + term if out in new else term
-    return new
-
-
 def _check_port(dev: CompiledMultiport, port: int, what: str) -> None:
     if not 0 <= port < dev.n:
         raise SpecError(f"{what} port {port} outside the device")
@@ -349,7 +330,8 @@ class SteadyStateResult:
 
 
 def dense_step_operators(dev: CompiledMultiport):
-    """One-step operators over the 3n internal modes, as numpy arrays.
+    """One-step operators over the 3n internal modes, as numpy arrays of
+    the device's scalars (ExactComplex objects in exact mode).
 
     Modes are ordered cw_0..cw_{n-1}, ccw_0.., mir_0..; ``A`` maps the
     post-traversal internal state to the next one, ``B`` holds the
@@ -359,7 +341,7 @@ def dense_step_operators(dev: CompiledMultiport):
     """
     k = 3 * dev.n
     S, W = gather_table(dev)
-    step = np.zeros((k + dev.n, k + dev.n), dtype=complex)
+    step = np.full((k + dev.n, k + dev.n), exact.field(dev.mode).zero, dtype=W.dtype)
     step[np.arange(k + dev.n)[:, None], S] = W
     return step[:k, :k], step[:k, k:], step[k:, :k]
 
@@ -499,15 +481,14 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
     is an isometry), so U = C X is the same for all.  ``reachable_dim``
     is the dimension of K = span[B, AB, ...]; ``spec.max_steps`` is unused.
 
-    Float mode solves on the n mirror modes: one minimum-norm n x n
-    solve from ``np.linalg.lstsq``, lifted to all 3n modes (see
-    ``_resolvent_dense``); ``reachable_dim`` is 3n less the eigenvalues of
-    A within ``_TRAPPED_TOL`` of the unit circle (a trapped mode need not
-    have eigenvalue 1, so this is not the rank of I - A).  Exact mode
-    takes a basis E of K in reduced row-echelon form, chosen by exact zero
-    tests, with A E = E H: H's columns are A e_j read at the pivot rows,
-    and (I - H) Z = B[pivots] is solved by sparse elimination over
-    ExactComplex, with no tolerance and no square root; X = E Z.
+    Both modes solve on the n mirror modes and lift the solution to all
+    3n (see ``_resolvent``).  Float mode takes the minimum-norm solution
+    from one n x n ``np.linalg.lstsq``; ``reachable_dim`` is 3n less the
+    eigenvalues of A within ``_TRAPPED_TOL`` of the unit circle (a trapped
+    mode need not have eigenvalue 1, so this is not the rank of I - A).
+    Exact mode solves by Gauss-Jordan elimination over ExactComplex, with
+    no tolerance and no square root, and finds ``reachable_dim`` from an
+    exact echelon basis of the mirror modes' Krylov space.
 
     ``residual`` is the largest column norm of (I - A) X - B.  Above
     ``tol`` it is a ConvergenceError; in exact mode it must be exactly
@@ -517,11 +498,10 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
     if not tol > 0:
         raise SpecError("tol must be positive")
     dev = compile_spec(spec)
+    matrix, residual, dim = _resolvent(dev)
     if dev.mode == "float":
-        matrix, residual, dim = _resolvent_dense(dev)
         unitarity = matrix.unitarity_dev()
     else:
-        matrix, residual, dim = _resolvent_exact(dev)
         if residual:
             raise InvariantViolation(f"exact resolvent left residual {residual:.3e}")
         if not matrix.is_unitary():
@@ -534,155 +514,97 @@ def long_time_matrix(spec: MultiportSpec, tol: float = 1e-12) -> LongTimeResult:
     return LongTimeResult(matrix, residual, dim, unitarity)
 
 
-def _resolvent_dense(dev: CompiledMultiport):
-    """(U, residual, reachable dimension) with numpy."""
+def _resolvent(dev: CompiledMultiport):
+    """(U, residual, reachable dimension) in the device's scalar type.
+
+    A sends mirror modes only to polygon modes and back: its blocks are
+    A_pm = A[:m, m:] and A_mp = A[m:, :m], and M = A_mp A_pm is A^2 on
+    the mirror modes.  So (I - A) X = B holds exactly when the mirror part
+    x solves (I - M) x = R, R = B_m + A_mp B_p, and X_p = B_p + A_pm x.  A
+    null vector v of I - M lifts to (A_pm v, v) in the null space of
+    I - A, which C maps to 0, so every solution x gives the same U.  An
+    input enters on the polygon modes (B_m = 0), so K = span[B, AB, ...]
+    is K_m = span[R, MR, ...] on the mirror modes and span(B_p) + A_pm K_m
+    on the polygon modes, a direct sum because B_p and A_pm have
+    orthogonal ranges inside each vertex's splitter and A_pm is an
+    isometry: dim K = n + 2 dim K_m.
+    """
     A, B, C = dense_step_operators(dev)
-    m = 2 * dev.n
-    # A sends mirror modes only to polygon modes and back: its blocks are
-    # A_pm = A[:m, m:] and A_mp = A[m:, :m], and M = A_mp A_pm is A^2 on
-    # the mirror modes.  So A's eigenvalues are n zeros and +-sqrt(mu), mu
-    # those of M, and (I - A) X = B holds exactly when the mirror part x
-    # solves (I - M) x = B_m + A_mp B_p and X_p = B_p + A_pm x.  A null
-    # vector v of I - M lifts to (A_pm v, v) in the null space of I - A,
-    # which C maps to 0, so the n x n solve gives the same U.
-    A_pm, A_mp = A[:m, m:], A[m:, :m]
-    M = A_mp @ A_pm
-    try:
-        x = np.linalg.lstsq(np.eye(dev.n) - M, B[m:] + A_mp @ B[:m], rcond=None)[0]
-        mu = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"long-time solve failed: {err}") from err
-    trapped = 2 * int((np.sqrt(np.abs(mu)) > 1 - _TRAPPED_TOL).sum())
-    y = A_pm @ x
-    X = np.vstack([B[:m] + y, x])
+    n, m = dev.n, 2 * dev.n
+    A_pm, A_mp, B_p = A[:m, m:], A[m:, :m], B[:m]
+    M = _product(A_mp, A_pm)
+    R = B[m:] + _product(A_mp, B_p)
+    if dev.mode == "float":
+        try:
+            x = np.linalg.lstsq(np.eye(n) - M, R, rcond=None)[0]
+            mu = np.linalg.eigvals(M)
+        except np.linalg.LinAlgError as err:
+            raise ConvergenceError(f"long-time solve failed: {err}") from err
+        # A's eigenvalues are n zeros and +-sqrt(mu), mu those of M.
+        dim = n - int((np.sqrt(np.abs(mu)) > 1 - _TRAPPED_TOL).sum())
+    else:
+        x = _solve_exact(np.identity(n, dtype=object) - M, R)
+        dim = _krylov_dim_exact(M, R)
+    y = _product(A_pm, x)
+    X = np.vstack([B_p + y, x])
     # X - A X - B, with A X taken by its two nonzero blocks.
-    R = X - np.vstack([y, A_mp @ X[:m]]) - B
-    residual = float(np.linalg.norm(R, axis=0).max())
-    return Matrix.from_numpy(C @ X), residual, 3 * dev.n - trapped
+    gap = X - np.vstack([y, _product(A_mp, X[:m])]) - B
+    residual = float(np.linalg.norm(gap.astype(complex, copy=False), axis=0).max())
+    return Matrix(_product(C, X).tolist(), dev.mode), residual, n + 2 * dim
 
 
-def _resolvent_exact(dev: CompiledMultiport):
-    """(U, residual, reachable dimension) over ExactComplex.
+def _product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """P @ Q; over ExactComplex one row operation per nonzero entry of P,
+    so the zeros of the sparse step operators cost nothing."""
+    if P.dtype != object:
+        return P @ Q
+    rows, cols = np.nonzero(P.astype(bool))
+    out = np.full((P.shape[0], Q.shape[1]), exact.ZERO, dtype=object)
+    np.add.at(out, rows, P[rows, cols][:, None] * Q[cols])
+    return out
 
-    Vectors are sparse dicts over the local modes of ``step_rows``.  The
-    basis is kept reduced: basis[i] is one at pivots[i] and zero at
-    every other pivot, so a vector of K is the sum of its pivot entries
-    times the basis.
-    """
-    n, k = dev.n, 3 * dev.n
-    successors = _successors(step_rows(dev))
-    zero = exact.ZERO
 
-    def step(x):
-        return {m: a for m, a in _sparse_step(successors, x).items() if not a.is_zero()}
-
-    inputs = [step({k + p: exact.ONE}) for p in range(n)]
-    basis, pivots = [], []
-    pending = list(inputs)
-    for v in pending:  # grows while the basis does
-        for e, p in zip(basis, pivots):
-            c = v.get(p)
-            if c is not None:
-                v = _axpy(v, -c, e)
-        if not v:
-            continue
-        p = min(v)
-        scale = v[p].inverse()
-        v = {m: a * scale for m, a in v.items()}
-        for i, e in enumerate(basis):
-            c = e.get(p)
-            if c is not None:
-                basis[i] = _axpy(e, -c, v)
-        basis.append(v)
-        pivots.append(p)
-        pending.append({m: a for m, a in step(v).items() if m < k})
-
-    # (I - H) Z = B at the pivots, one sparse row per pivot; column j < d
-    # is unknown j, column d + q is input q's right-hand side.
-    d = len(basis)
-    images = [step(e) for e in basis]
-    rows = []
-    for i, p in enumerate(pivots):
-        h_row = {j: a for j, image in enumerate(images) if (a := image.get(p)) is not None}
-        row = _minus({i: exact.ONE}, h_row)
-        row.update((d + q, x[p]) for q, x in enumerate(inputs) if p in x)
-        rows.append(row)
-    Z = _solve_sparse(rows, d, n)
-
-    columns, residual = [], 0.0
+def _solve_exact(T: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """A solution x of T x = R over ExactComplex by Gauss-Jordan
+    elimination, free unknowns set to 0.  An inconsistent system is not
+    detected here; it leaves a residual."""
+    n = T.shape[1]
+    T = np.hstack([T, R])
+    pivots = []
     for col in range(n):
-        x = {}
-        for j in range(d):
-            if not Z[j][col].is_zero():
-                x = _axpy(x, Z[j][col], basis[j])
-        y = step(x)
-        columns.append([y.get(k + q, zero) for q in range(n)])
-        inside = {m: a for m, a in y.items() if m < k}
-        r = _minus(_minus(x, inside), inputs[col])
-        residual = max(residual, math.sqrt(float(sum((a.abs_sq() for a in r.values()), zero))))
-    U = tuple(tuple(column[q] for column in columns) for q in range(n))
-    return Matrix(U, "exact"), residual, d
+        rows = np.flatnonzero(T[len(pivots):, col].astype(bool)) + len(pivots)
+        if not rows.size:
+            continue
+        row = len(pivots)
+        T[[row, rows[0]]] = T[[rows[0], row]]
+        # Row ``row`` is zero left of ``col``: the earlier columns hold pivots
+        # or were zero below them.
+        T[row, col:] *= T[row, col].inverse()
+        for i in np.flatnonzero(T[:, col].astype(bool)):
+            if i != row:
+                T[i, col:] -= T[i, col] * T[row, col:]
+        pivots.append(col)
+    x = np.full(R.shape, exact.ZERO, dtype=object)
+    x[pivots] = T[: len(pivots), n:]
+    return x
 
 
-def _axpy(y: dict, c, x: dict) -> dict:
-    """y + c x for sparse exact vectors, zeros dropped."""
-    out = dict(y)
-    for m, a in x.items():
-        term = c * a
-        out[m] = out[m] + term if m in out else term
-    return {m: a for m, a in out.items() if not a.is_zero()}
-
-
-def _minus(y: dict, x: dict) -> dict:
-    """y - x for sparse exact vectors, zeros dropped."""
-    out = dict(y)
-    for m, a in x.items():
-        out[m] = out[m] - a if m in out else -a
-    return {m: a for m, a in out.items() if not a.is_zero()}
-
-
-def _solve_sparse(rows: list, d: int, width: int) -> list:
-    """Solve d exact sparse equations in d unknowns, ``width`` right-hand
-    sides at columns d.., by elimination and back substitution.
-
-    Each pivot is the entry whose row and column hold the fewest other
-    unknowns, which keeps the fill-in of these sparse systems small.  A
-    singular system is an InvariantViolation: I - H is invertible on the
-    reachable subspace.
-    """
-    live = set(range(d))
-    order = []  # (row, column, inverse of the pivot)
-    for _ in range(d):
-        counts = collections.Counter(c for r in live for c in rows[r] if c < d)
-        best = None
-        for r in live:
-            unknowns = [c for c in rows[r] if c < d]
-            for c in unknowns:
-                cost = (len(unknowns) - 1) * (counts[c] - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, r, c)
-        if best is None:
-            raise InvariantViolation("I - H is singular on the reachable subspace")
-        _cost, r, c = best
-        live.discard(r)
-        pivot = rows[r]
-        inv = pivot[c].inverse()
-        order.append((r, c, inv))
-        for s in live:
-            f = rows[s].get(c)
-            if f is not None:
-                eliminated = _axpy(rows[s], -(f * inv), pivot)
-                eliminated.pop(c, None)
-                rows[s] = eliminated
-    solution = [None] * d
-    for r, c, inv in reversed(order):
-        row = rows[r]
-        values = [row.get(d + q, exact.ZERO) for q in range(width)]
-        for c2, a in row.items():
-            if c2 < d and c2 != c:
-                values = [v if x.is_zero() else v - a * x for v, x in zip(values, solution[c2])]
-        solution[c] = [v if v.is_zero() else v * inv for v in values]
-    return solution
+def _krylov_dim_exact(M: np.ndarray, R: np.ndarray) -> int:
+    """dim span[R, MR, M^2 R, ...] over ExactComplex: the size of an
+    echelon basis, each vector reduced by the earlier ones at their
+    pivots, the image of each new basis vector queued."""
+    basis = []  # (pivot, vector that is one at its pivot)
+    pending = list(R.T)
+    for v in pending:  # grows while the basis does
+        for p, e in basis:
+            if v[p]:
+                v = v - v[p] * e
+        nonzero = np.flatnonzero(v.astype(bool))
+        if nonzero.size:
+            p = nonzero[0]
+            basis.append((p, v * v[p].inverse()))
+            pending.append(_product(M, basis[-1][1][:, None])[:, 0])
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +651,10 @@ def enumerate_paths(
     internal = 3 * dev.n
     start, target = internal + input_port, internal + exit_port
     rows = step_rows(dev)
-    successors = _successors(rows)
+    successors = [[] for _ in rows]  # by source; one row per output, one output per mode
+    for out, terms in rows:
+        for src, weight, symbol in terms:
+            successors[src].append((out, weight, symbol))
     # ways[k][mode]: the paths from ``mode`` at encounter k to the exit at
     # encounter n, counted back along the rows; the search below enters
     # only modes that have one.

@@ -172,7 +172,7 @@ class ExactComplex:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self + -o
+        return self if o._n == _ZERO8 else self + -o
 
     def __rsub__(self, other):
         o = _coerce(other)

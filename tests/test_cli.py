@@ -160,7 +160,8 @@ def test_exact_output_matches_recorded_digest(capsys, argv, fmt, digest):
 
 # sha256 of more exact stdout: every exact walk config, a 4-port device
 # with pi/4 mirror and edge phases (written by the test as PHASED_DEVICE),
-# and a long exit table.  "{device}" stands for that config's path.
+# a long exit table and more exact long-time matrices.  "{device}" stands
+# for that config's path.
 PHASED_DEVICE = {"device": {"n": 4, "mirror_phase": [k * math.pi / 4 for k in (1, 2, 5, 7)],
                             "edge_phase": [k * math.pi / 4 for k in (3, 0, 6, 1)]}}
 _MORE_EXACT_DIGESTS = [
@@ -188,6 +189,22 @@ _MORE_EXACT_DIGESTS = [
      "6165f0400be768646f9c9bdeb3c51031e4531fcd6edfde261524440b2ddf1e45"),
     (("exits", "--steps", "40"), "csv",
      "08b8b18e779f22e3c7316e66bdcbd826888ca6bcfa976f2525e64d8d275cc3cd"),
+    (("unitary", "--n", "4"), "json",
+     "77a80ad934fa652c55c37874f022f178cee18750b19ce778b7dd5ad4ea631569"),
+    (("unitary", "--n", "4"), "csv",
+     "e9ed6cee107b9893ca93af075568b7217a83ef752913931c638c826d29990669"),
+    (("unitary", "--n", "5"), "json",
+     "4fa89f377d66089ca84f8f4cd18a4c01b2b5dbf3645d2a502b41f55de61276f7"),
+    (("unitary", "--n", "5"), "csv",
+     "dc51d8b3e6ceb1f260a3a4dea74bebd223e843bf3c896fdff4d9f2a6056350c0"),
+    (("unitary", "--n", "8"), "json",
+     "f102980950a6eff10c7ce8b076fbeeb6a6540ab19fffb96893ac2af3dcf977ce"),
+    (("unitary", "--n", "8"), "csv",
+     "b4ded64709d7e7d8ba531277ac3818489bd8b2fc1301466ee390054b186935e7"),
+    (("unitary", "--config", "{device}"), "json",
+     "25c0e8aa04475f81bc19d31cd579c35cc4471429ccbb2b7a855fd84a8aa3bb03"),
+    (("unitary", "--config", "{device}"), "csv",
+     "42f025d564f3a64d7de5e98ef8c1590d0576d1b3d21df8dd49d350eb34f890e6"),
 ]
 
 

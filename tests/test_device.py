@@ -9,7 +9,7 @@ import cmath
 import json
 import math
 import random
-import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +30,7 @@ from multiport.device import (
     symmetric_unitary,
     triport_unitary,
 )
-from multiport.errors import ConvergenceError, SpecError
+from multiport.errors import ConvergenceError, InvariantViolation, SpecError
 from multiport.matrices import Matrix
 from multiport.states import port_label
 
@@ -656,7 +656,7 @@ def test_step_rows_match_hand_written_wiring(mode):
 
         for got, want in zip(dense_step_operators(dev), _reference_dense(dev)):
             if mode == "exact":
-                assert np.abs(got - want).max() < 1e-15
+                assert np.abs(got.astype(complex) - want).max() < 1e-15
             else:
                 assert np.array_equal(got, want)
 
@@ -870,6 +870,58 @@ def test_float_trapped_count_matches_krylov_dimension():
         assert long_time_matrix(spec).reachable_dim == _krylov_dim(A, B), spec
 
 
+def _krylov_dim_exact_all_modes(A, B):
+    """The dimension of span[B, AB, A^2 B, ...] over all 3n internal modes,
+    by exact elimination on plain lists: each vector is reduced at the
+    pivots of the earlier ones, and the image of each new basis vector is
+    queued.  The reference for exact ``reachable_dim``, which long_time_matrix
+    counts on the n mirror modes."""
+    rows = A.tolist()
+    basis = []  # (pivot, vector that is one at its pivot)
+    pending = B.T.tolist()
+    for v in pending:  # grows while the basis does
+        for p, e in basis:
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, e)]
+        p = next((i for i, a in enumerate(v) if a), None)
+        if p is not None:
+            inv = v[p].inverse()
+            e = [a * inv for a in v]
+            basis.append((p, e))
+            image = [sum((w * a for w, a in zip(row, e) if w and a), exact.ZERO) for row in rows]
+            pending.append(image)
+    return len(basis)
+
+
+def test_exact_reachable_dim_matches_krylov_over_all_modes():
+    """Exact ``reachable_dim`` = n + 2 dim K_m equals the Krylov dimension
+    over all 3n internal modes on the reference devices, the fully
+    reflecting r = i, t = 0 devices, seeded devices set per vertex (the
+    r = i, t = 0 splitter among them) and seeded devices identical at
+    every vertex, most of which trap modes."""
+    rng = random.Random(2525)
+    specs = [exact_spec(n=n) for n in range(3, 9)]
+    specs += [exact_spec(n=n, r=exact.I, t=exact.ZERO) for n in range(3, 9)]
+    heterogeneous = [_heterogeneous_spec(rng, "exact", 3 + k % 6, 100) for k in range(48)]
+    assert sum(any(t.is_zero() for t in spec.t) for spec in heterogeneous) >= 12
+    specs += heterogeneous
+    for k in range(48):
+        r, t = rng.choice(_EXACT_SPLITTERS)
+        w = exact.eighth_root(rng.randrange(8))
+        specs.append(exact_spec(
+            n=3 + k % 6, r=w * r, t=w * t, mirror_factor=exact.eighth_root(rng.randrange(8)),
+            edge_phases=rng.randrange(8) * math.pi / 4,
+        ))
+    trapped = 0
+    for spec in specs:
+        A, B, _C = dense_step_operators(compile_spec(spec))
+        res = long_time_matrix(spec)
+        assert res.reachable_dim == _krylov_dim_exact_all_modes(A, B), spec
+        trapped += res.trapped_modes > 0
+    assert trapped >= 24
+
+
 def test_failed_float_solve_is_a_convergence_error(monkeypatch, capsys):
     """A LinAlgError from the least-squares solve or the eigenvalue count
     exits 3, like any other unsolved long-time matrix."""
@@ -883,6 +935,27 @@ def test_failed_float_solve_is_a_convergence_error(monkeypatch, capsys):
             with pytest.raises(ConvergenceError):
                 long_time_matrix(MultiportSpec(n=4))
             assert cli.main(["unitary", "--n", "4", "--mode", "float"]) == 3
+            assert capsys.readouterr().out == ""
+
+
+def test_exact_long_time_invariants_are_checked(monkeypatch, capsys):
+    """A nonzero exact residual, or an exact U that is not unitary, is an
+    InvariantViolation, which the CLI exits 4 on."""
+    resolvent = device._resolvent
+
+    def halved(dev):
+        matrix, residual, dim = resolvent(dev)
+        return matrix.scaled(exact.ExactComplex(F(1, 2))), residual, dim
+
+    for name, wrong, message in (
+        ("_solve_exact", lambda T, R: R * 0, "residual"),  # x = 0 leaves -R
+        ("_resolvent", halved, "not unitary"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(device, name, wrong)
+            with pytest.raises(InvariantViolation, match=message):
+                long_time_matrix(exact_spec(n=4))
+            assert cli.main(["unitary", "--n", "4", "--mode", "exact"]) == 4
             assert capsys.readouterr().out == ""
 
 
@@ -964,13 +1037,40 @@ def test_exit_record_refuses_encounters_outside_the_record(mode):
             rec.amplitude(n, 0)
 
 
-def test_exact_steady_state_stops_at_the_first_small_residual():
+def test_exact_steady_state_stops_at_the_first_small_residual(monkeypatch):
     """Exact steady_state steps one encounter at a time and keeps only the
     current state, so a huge ``max_steps`` costs nothing unless the sum
-    runs that long; a full history of 10^6 encounters would never finish."""
+    runs that long.  Each port takes one kernel step per encounter up to
+    its own stopping encounter, read here off its exit record, and the
+    peak allocation stays below one 8-byte pointer per allowed encounter,
+    which a history of ``max_steps`` rows would exceed."""
+    max_steps = 10 ** 6
+    gather, calls, limit = device._gather_exact, [], 0
+
+    def counted(*args):
+        calls.append(None)
+        assert len(calls) <= limit, "a step past the stopping encounters"
+        return gather(*args)
+
     for n, tol, steps_used in ((3, 1e-3, 22), (4, 1e-6, 4)):
-        start = time.perf_counter()
-        res = steady_state(MultiportSpec(n=n, mode="exact", max_steps=10 ** 6), tol=tol)
-        assert time.perf_counter() - start < 1.0
+        spec = MultiportSpec(n=n, mode="exact", max_steps=max_steps)
+        stops = []
+        for port in range(n):
+            # the probability still inside after each encounter, exactly
+            inside = [1 - step.cumulative_probability for step in exit_record(spec, port, 40).steps]
+            stops.append(next(N for N, p in enumerate(inside, 1) if math.sqrt(float(p)) < tol))
+        limit = sum(stops)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(device, "_gather_exact", counted)
+            tracemalloc.start()
+            try:
+                res = steady_state(spec, tol=tol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(calls) == limit
+        assert peak < 8 * max_steps, peak
         assert (res.steps_used, res.converged) == (steps_used, True)
+        assert max(stops) == steps_used
     assert res.residual == 0.0
