@@ -291,7 +291,7 @@ def _multiport_kwargs(section: dict, keys, mode, what) -> dict:
         if mode == "exact":
             raise ConfigError("exact mode supports only the default r/t amplitudes")
         if r is None or t is None:
-            raise ConfigError("override r and t together")
+            raise ConfigError(f"{what} must set r and t together")
         kwargs["r"] = _each(parse_complex, r)
         kwargs["t"] = _each(parse_complex, t)
     phases = _phase_list(get("mirror_phase"))
@@ -565,19 +565,16 @@ def cmd_walk(args, cfg):
     amplitudes = [s.lead_step_amplitudes for s in result.steps]  # exact scalars as they are
     if mode == "float":
         amplitudes = np.array(amplitudes, dtype=complex)
-    steps = []
-    for s, amps in zip(result.steps, amplitudes):
-        steps.append(
-            {
-                "index": s.index,
-                "edges": {
-                    f"{e}->{v}": p for (e, v), p in sorted(s.edge_probabilities.items())
-                },
-                "lead_step_amplitudes": amps,
-                "lead_cumulative_probability": list(s.lead_cumulative_probability),
-                "internal_probability": s.internal_probability,
-            }
-        )
+    steps = [
+        {
+            "index": s.index,
+            "edges": {f"{e}->{v}": p for (e, v), p in sorted(s.edge_probabilities.items())},
+            "lead_step_amplitudes": amps,
+            "lead_cumulative_probability": list(s.lead_cumulative_probability),
+            "internal_probability": s.internal_probability,
+        }
+        for s, amps in zip(result.steps, amplitudes)
+    ]
     data = {
         "leads": engine.lead_count,
         "steps": steps,

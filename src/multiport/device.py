@@ -144,8 +144,7 @@ def compile_spec(spec: MultiportSpec) -> CompiledMultiport:
 
     # Written so that a NaN or infinite value fails: comparisons with NaN
     # are false.
-    for v in range(spec.n):
-        rv, tv, mv = r[v], t[v], mirror[v]
+    for v, (rv, tv, mv) in enumerate(zip(r, t, mirror)):
         norm = float(exact.abs_sq(rv) + exact.abs_sq(tv))
         cross = complex(rv * tv.conjugate() + tv * rv.conjugate())
         if not (abs(norm - 1.0) <= _UNITARY_TOL and abs(cross) <= _UNITARY_TOL):
@@ -241,13 +240,20 @@ def _check_port(dev: CompiledMultiport, port: int, what: str) -> None:
         raise SpecError(f"{what} port {port} outside the device")
 
 
-def gather_table(dev: CompiledMultiport):
+def gather_table(*devs: CompiledMultiport):
     """The step rows as one gather table (S, W) over the 4n local modes of
-    ``step_rows``: output o of a step is ``sum_j W[o, j] * x[S[o, j]]``."""
+    ``step_rows``: output o of a step is ``sum_j W[o, j] * x[S[o, j]]``.
+    k devices of one port count and mode share S, and W is (k, 4n, 2):
+    their rows are evaluated once, over a column of k values per scalar."""
+    dev = devs[0]
+    if len(devs) > 1:
+        cols = np.array([d.r + d.t + d.mirror + d.edge_factor for d in devs], dtype=object).T
+        dev = CompiledMultiport(dev.n, dev.mode, *map(tuple, np.split(cols, 4)), dev.max_steps)
     terms = [term for _out, row in sorted(step_rows(dev)) for term in row]  # 2 per output
     srcs, weights, _symbols = zip(*terms)
     S = np.array(srcs, dtype=np.intp).reshape(-1, 2)
-    return S, np.array(weights, dtype=object if dev.mode == "exact" else complex).reshape(-1, 2)
+    W = np.array(weights, dtype=object if dev.mode == "exact" else complex)
+    return S, W.T.reshape(*W.shape[1:], -1, 2)
 
 
 def gather_steps(S: np.ndarray, weights, hist: np.ndarray, inputs: int) -> None:
@@ -437,11 +443,8 @@ def steady_state(spec: MultiportSpec, tol: float = 1e-12) -> SteadyStateResult:
             converged = False
         worst_residual = max(worst_residual, residual)
         columns.append(acc)
-    rows = tuple(
-        tuple(columns[j][i] for j in range(dev.n)) for i in range(dev.n)
-    )
     return SteadyStateResult(
-        Matrix(rows, dev.mode), worst_residual, steps_used, converged, conservation
+        Matrix(zip(*columns), dev.mode), worst_residual, steps_used, converged, conservation
     )
 
 

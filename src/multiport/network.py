@@ -21,13 +21,15 @@ lead, then one slot that always holds zero.  A step computes
 state's modes followed by one amplitude per lead.  Each physical output
 is one beam-splitter arm and combines exactly two inputs; each ideal
 output combines its vertex's incoming channels, padded with the zero slot
-up to the largest degree.  Each distinct vertex is tabulated once (a
-multiport by ``device.gather_table``), and every vertex's rows are
-placed into S and W by two index maps.  A scheduled override rebuilds
-only its vertex's rows, in a copy of W.  A run steps one history array
-through ``device.gather_steps``, the kernel that also steps exit
-records, and builds a step's WalkStep from its arrays when the step is
-first read.
+up to the largest degree.  The build works on whole arrays: the channel
+maps come from one stable sort of the edge ends and leads, and the
+distinct vertices of each degree are tabulated in one pass (a multiport
+stack by one ``device.gather_table``, coins as one array with one
+unitarity check), then scattered into S and W.  A run tabulates all its
+overrides in one more pass and rebuilds their rows in a copy of W per
+scheduled step.  It steps one history array through
+``device.gather_steps``, the kernel that also steps exit records, and
+builds a step's WalkStep from its arrays when the step is first read.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import exact
-from .device import _MAX_RECORD_AMPLITUDES, MultiportSpec, compile_spec, grover_coin
-from .device import gather_steps, gather_table, step_record
+from .device import _MAX_RECORD_AMPLITUDES, MultiportSpec, compile_spec
+from .device import gather_steps, gather_table, grover_coin, step_record
 from .errors import SpecError
 from .matrices import Matrix
 
@@ -81,14 +83,12 @@ class Schedule:
 
     Ideal vertices take a replacement coin Matrix; physical vertices take
     a dict with any of r, t, mirror_factor, edge_phases.  Overrides apply
-    only on their step; the base parameters return afterwards.  Every
-    vertex named must be in the graph.
+    only on their step; the base parameters return afterwards.  A step is
+    an integer >= 1 (step 1 is the first); a step beyond a run's last is
+    allowed and never applies.  Every vertex named must be in the graph.
     """
 
     overrides: Dict[int, Dict[int, object]] = field(default_factory=dict)
-
-    def for_step(self, step: int) -> Dict[int, object]:
-        return self.overrides.get(step, {})
 
 
 @dataclass
@@ -137,60 +137,48 @@ def _vertex_index(value, count: int, what: str) -> int:
     return v
 
 
-def _vertex_channels(g: GraphSpec):
-    """The edges as vertex pairs, and channels[v] = ordered list of
-    ('edge', e) / ('lead', l) descriptors."""
-    count = len(g.vertices)
-    edges: List[Tuple[int, int]] = []
-    channels: List[List[Tuple[str, int]]] = [[] for _ in range(count)]
+def _graph_ends(g: GraphSpec, count: int):
+    """The edges as an (E, 2) array of vertex pairs and the leads as an
+    array of vertices; the first bad edge or lead raises SpecError."""
+    pairs = []
     for e, edge in enumerate(g.edges):
         try:
             u, v = edge
         except (TypeError, ValueError):
             raise SpecError(f"edge {e} must be a pair of vertices, got {edge!r}") from None
-        u = _vertex_index(u, count, f"edge {e}")
-        v = _vertex_index(v, count, f"edge {e}")
-        if u == v:
+        pairs.append((_vertex_index(u, count, f"edge {e}"), _vertex_index(v, count, f"edge {e}")))
+        if pairs[-1][0] == pairs[-1][1]:
             raise SpecError("self-loop edges are not supported")
-        edges.append((u, v))
-        channels[u].append(("edge", e))
-        channels[v].append(("edge", e))
-    for l, v in enumerate(g.leads):
-        channels[_vertex_index(v, count, f"lead {l}")].append(("lead", l))
-    return edges, channels
+    leads = [_vertex_index(v, count, f"lead {l}") for l, v in enumerate(g.leads)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(leads, dtype=np.intp)
 
 
-def _check_connected(count: int, edges, allow_disconnected: bool):
-    adj: List[set] = [set() for _ in range(count)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+def _connected(count: int, edges) -> bool:
+    adj: List[list] = [[] for _ in range(count)]
+    for u, v in edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
     seen = {0}
     frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    if len(seen) != count and not allow_disconnected:
-        raise SpecError("graph is disconnected (set allow_disconnected to permit)")
+    for x in frontier:  # grows while new vertices are seen
+        new = set(adj[x]) - seen
+        seen |= new
+        frontier += new
+    return len(seen) == count
 
 
-def _abs_sq(amps: np.ndarray) -> np.ndarray:
-    """|a|^2 per entry, in the entries' own scalar type."""
-    if amps.dtype == object:
-        return np.array([a.abs_sq() for a in amps], dtype=object)
-    return amps.real * amps.real + amps.imag * amps.imag
-
-
-def _share_key(values) -> tuple:
-    """Vertex parameters as a key, each value with its type: exact mode
-    takes r = 1 but refuses 1.0.  A list becomes a tuple."""
-    return tuple(
-        (tuple(x), tuple(map(type, x))) if isinstance(x, (list, tuple)) else (x, type(x))
-        for x in values
-    )
+def _share_key(params):
+    """Equal keys tabulate once: a coin's mode and rows, or a spec's values
+    with their types (exact mode takes r = 1, not 1.0).  A float spec that
+    holds a list is unhashable, so it tabulates on its own: its key would
+    cost about as much as its table.  0.0 and -0.0 may share: a gather's
+    sums start from +0, losing the sign."""
+    if isinstance(params, Matrix):
+        return params.mode, params.rows
+    values = tuple(vars(params).values())
+    if params.mode == "exact":  # a sequence by its values and their types
+        values = tuple((*x, *map(type, x)) if type(x) in (list, tuple) else x for x in values)
+    return values, tuple(map(type, values))
 
 
 def _amplitude(F: exact.Field, value):
@@ -211,8 +199,10 @@ class WalkEngine:
             raise SpecError("graph needs at least one vertex")
         if not all(isinstance(vert, (IdealVertex, PhysicalVertex)) for vert in g.vertices):
             raise SpecError("every vertex must be an IdealVertex or a PhysicalVertex")
-        edges, self.channels = _vertex_channels(g)
-        _check_connected(len(g.vertices), edges, g.allow_disconnected)
+        count = len(g.vertices)
+        edges, leads = _graph_ends(g, count)
+        if not (g.allow_disconnected or _connected(count, edges)):
+            raise SpecError("graph is disconnected (set allow_disconnected to permit)")
         self.graph = g
         self.mode = g.mode
         self.kind = "ideal" if isinstance(g.vertices[0], IdealVertex) else "physical"
@@ -220,7 +210,8 @@ class WalkEngine:
         model = IdealVertex if ideal else PhysicalVertex
         if not all(isinstance(vert, model) for vert in g.vertices):
             raise SpecError("all vertices must share one vertex model")
-        ports = 2 * len(edges) + len(g.leads)  # each with 3 own modes at a physical vertex
+        edge_modes, self.lead_count = 2 * len(edges), len(leads)
+        ports = edge_modes + self.lead_count  # each with 3 own modes at a physical vertex
         slots = ports if ideal else 4 * ports
         if slots > _MAX_RECORD_AMPLITUDES:
             raise SpecError(
@@ -228,36 +219,7 @@ class WalkEngine:
                 f"this graph has {slots}"
             )
         self._dtype = object if self.mode == "exact" else complex
-        fan_in = max(map(len, self.channels)) if ideal else 2
-        # Distinct vertices compile, check and tabulate once.  0.0 and -0.0 may
-        # share a key: a gather's sums start from +0, so the sign is lost.
-        tables, keys = {}, []
-        for v, vert in enumerate(g.vertices):
-            degree = len(self.channels[v])
-            if ideal:
-                if degree == 0:
-                    raise SpecError(f"vertex {v} has no edges or leads")
-                c = vert.coin
-                key = (degree, c.mode, c.rows) if isinstance(c, Matrix) else v
-            else:
-                if vert.spec.n != degree:
-                    raise SpecError(
-                        f"vertex {v}: multiport has {vert.spec.n} ports, degree is {degree}"
-                    )
-                if vert.spec.mode != g.mode:
-                    raise SpecError(f"vertex {v}: multiport numeric mode differs from graph")
-                key = _share_key(vars(vert.spec).values())
-            try:
-                shared = key in tables
-            except TypeError:  # an unhashable parameter compiles on its own
-                key, shared = v, False
-            if not shared:
-                params = self._checked_coin(v, vert.coin) if ideal else compile_spec(vert.spec)
-                tables[key] = self._local_rows(params, fan_in)
-            keys.append(key)
-
-        self.lead_count = len(g.leads)
-        self.inter_vertex_mode_count = 2 * len(edges)
+        self.inter_vertex_mode_count = edge_modes
         # Per physical vertex, CompiledMultiport.inter_vertex_mode_count +
         # mirror_stub_mode_count = 4n: 2n polygon-edge modes (cw, ccw) and
         # 2n mirror-stub modes (into and back out of each stub).  The state
@@ -268,85 +230,128 @@ class WalkEngine:
         # State layout: directed edge e = (u, w) is mode 2e toward w and
         # 2e + 1 toward u; physical vertex v then owns its cw, ccw and
         # mirror modes; lead l's input slot and output row are both
-        # _modes + l; the last slot stays zero.  src_map holds vertex v's
-        # local modes (see _local_rows) and padding slot from offsets[v];
-        # out_map holds every vertex's output rows, vertex after vertex.
-        self._edges = edges
-        self._edge_keys = [(e, w) for e, (u, v) in enumerate(edges) for w in (v, u)]
-        self._modes = slots - self.lead_count
-        zero_slot = slots
-        src_map, out_map, offsets = [], [], []
-        own = range(len(self._edge_keys))
-        for v, chans in enumerate(self.channels):
-            own = range(own.stop, own.stop if ideal else own.stop + 3 * len(chans))
-            sources = [
-                2 * idx + (v == edges[idx][0]) if kind == "edge" else self._modes + idx
-                for kind, idx in chans
-            ]
-            offsets.append(len(src_map))
-            src_map += [*own, *sources, zero_slot]
-            # A lead's slot is its input and its output; an edge's two modes
-            # differ in their last bit.
-            out_map += [*own, *(s ^ 1 if s < self._modes else s for s in sources)]
-        counts = [len(tables[k][0]) for k in keys]
-        shift = np.repeat(offsets, counts)
-        srcs, weights = (np.concatenate(part) for part in zip(*(tables[k] for k in keys)))
-        rows = np.array(out_map)
-        # Vertex v's rows of S and W, in its local order; an override's
-        # rows come in the same order.
-        self._rows = np.split(rows, np.cumsum(counts)[:-1])
+        # _modes + l; the last slot stays zero.  Port p < 2E is edge p // 2
+        # at its end p % 2, whose input is mode p ^ 1 and output mode p;
+        # port 2E + l is lead l.  Sorted by vertex, stably, the ports give
+        # each vertex's channels in order: its edges, then its leads.
+        self._modes = modes = slots - self.lead_count
+        ends = np.concatenate([edges.ravel(), leads])
+        order = np.argsort(ends, kind="stable")
+        self._degree = degree = np.bincount(ends, minlength=count)
+        start = np.cumsum(degree) - degree
+        edge_ports, lead_slots = np.arange(edge_modes), np.arange(modes, modes + self.lead_count)
+        outputs = np.concatenate([edge_ports, lead_slots])[order]
+        inputs = np.concatenate([edge_ports.reshape(-1, 2)[:, ::-1].ravel(), lead_slots])[order]
+        self._edge_keys = list(zip((edge_ports // 2).tolist(), edges[:, ::-1].ravel().tolist()))
 
         # Column-major, so that the sum over the short fan-in axis runs as
         # k whole-column adds (about 3x faster than row-major here).
-        self._S = np.full((slots, fan_in), zero_slot, dtype=np.intp, order="F")
+        fan_in = int(degree.max()) if ideal else 2
+        self._S = np.full((slots, fan_in), slots, dtype=np.intp, order="F")
         self._W = np.full((slots, fan_in), F.zero, dtype=self._dtype, order="F")
-        self._S[rows] = np.array(src_map)[srcs + shift[:, None]]
-        self._W[rows] = weights
+        # A vertex's local sources are its own modes, then its ports, then the
+        # zero slot; its rows of S and W (self._rows) are its own modes, then
+        # its ports, the order of an override's rows too.
+        self._rows = {}
+        params = [vert.coin if ideal else vert.spec for vert in g.vertices]
+        for members, S, W in self._tabulate(list(enumerate(params))):
+            d, k = int(degree[members[0]]), len(members)
+            channels = start[members, None] + np.arange(d)
+            own = edge_modes + 3 * start[members, None] + np.arange(0 if ideal else 3 * d)
+            rows = np.hstack([own, outputs[channels]])
+            sources = np.hstack([own, inputs[channels], np.full((k, 1), slots)])
+            self._S[rows] = sources[np.arange(k)[:, None, None], S]
+            self._W[rows] = W
+            self._rows.update(zip(members.tolist(), rows))
 
     # -- compiling -------------------------------------------------------
 
-    def _checked_coin(self, v: int, coin) -> Matrix:
-        degree = len(self.channels[v])
-        if not isinstance(coin, Matrix):
-            raise SpecError(f"vertex {v}: an ideal vertex takes a coin Matrix")
-        if coin.dim != degree:
-            raise SpecError(f"vertex {v}: coin dimension {coin.dim} != degree {degree}")
-        if coin.mode != self.mode:
-            raise SpecError(f"vertex {v}: coin numeric mode differs from graph")
-        if not coin.unitarity_dev() <= _COIN_TOL:  # NaN fails too
-            raise SpecError(f"vertex {v}: coin is not unitary")
-        return coin
-
-    def _local_rows(self, params, fan_in: int):
-        """A vertex's (sources, weights) arrays, one row of fan_in terms per
-        own mode and port, over its own modes, one slot per port and a padding
-        slot: a multiport's ``device.gather_table`` over 3n own modes, or a
-        coin's row q, gathering port p with weight coin[q][p], over none."""
-        if self.kind == "physical":  # every row of a multiport has fan_in = 2 terms
-            return gather_table(params)
-        d, pad = params.dim, fan_in - params.dim
-        srcs = [*range(d), *[d] * pad] * d
-        filler = [exact.field(self.mode).zero] * pad
-        weights = [w for r in params.rows for w in (*r, *filler)]
-        return (
-            np.array(srcs, dtype=np.intp).reshape(-1, fan_in),
-            np.array(weights, dtype=self._dtype).reshape(-1, fan_in),
-        )
-
-    def _override_params(self, v: int, override):
+    def _override(self, v: int, override):
+        """The coin or MultiportSpec of vertex v under ``override``."""
         if self.kind == "ideal":
-            return self._checked_coin(v, override)
+            return override
         keys = ["edge_phases", "mirror_factor", "r", "t"]  # the MultiportSpec fields it may set
         if not (isinstance(override, dict) and override.keys() <= set(keys)):
             raise SpecError(f"vertex {v}: an override may set only {keys}, got {override!r}")
-        return compile_spec(replace(self.graph.vertices[v].spec, **override))
+        return replace(self.graph.vertices[v].spec, **override)
 
-    def _weights_with(self, overrides) -> np.ndarray:
-        """A copy of W with the overridden vertices' rows rebuilt."""
-        W = self._W.copy(order="F")
-        for v, override in overrides.items():
-            W[self._rows[v]] = self._local_rows(self._override_params(v, override), W.shape[1])[1]
-        return W
+    def _tabulate(self, items, param=lambda _v, p: p) -> list:
+        """Per degree class of the (vertex, x) ``items``, x a coin or
+        MultiportSpec as ``param(vertex, x)`` gives it: its indices into
+        items, its local S and its members' W rows.  Its distinct parameters
+        are checked and tabulated in one pass; if anything fails, the items
+        are tabulated one by one, so that the error names the first bad one."""
+        try:
+            groups, seen = {}, {}  # degree: (members, index into distinct of each, distinct)
+            degrees = self._degree[[v for v, _x in items]].tolist()
+            for i, ((v, x), d) in enumerate(zip(items, degrees)):
+                p = param(v, x)
+                members, which, distinct = groups.setdefault(d, ([], [], []))
+                try:
+                    j = seen.setdefault((d, _share_key(p)), len(distinct))
+                except TypeError:  # an unhashable parameter tabulates on its own
+                    j = len(distinct)
+                if j == len(distinct):
+                    distinct.append(p)
+                members.append(i)
+                which.append(j)
+            return [
+                (np.array(members), *self._class_table(d, distinct, which))
+                for d, (members, which, distinct) in groups.items()
+            ]
+        except Exception:
+            for v, x in items:
+                self._class_table(int(self._degree[v]), [param(v, x)], [0], v)
+            raise
+
+    def _class_table(self, d: int, params, which, v=None):
+        """Local S, and W rows for degree-d vertices with the params[which];
+        an error names v, the vertex when there is one."""
+        for p in params:
+            if self.kind == "physical":
+                if p.n != d:
+                    raise SpecError(f"vertex {v}: multiport has {p.n} ports, degree is {d}")
+                if p.mode != self.mode:
+                    raise SpecError(f"vertex {v}: multiport numeric mode differs from graph")
+            elif d == 0:
+                raise SpecError(f"vertex {v} has no edges or leads")
+            elif not isinstance(p, Matrix):
+                raise SpecError(f"vertex {v}: an ideal vertex takes a coin Matrix")
+            elif p.dim != d:
+                raise SpecError(f"vertex {v}: coin dimension {p.dim} != degree {d}")
+            elif p.mode != self.mode:
+                raise SpecError(f"vertex {v}: coin numeric mode differs from graph")
+        if self.kind == "physical":
+            S, W = gather_table(*map(compile_spec, params))
+            return S, W.reshape(-1, *S.shape)[which]
+        coins = np.array([c.rows for c in params], dtype=self._dtype)
+        a = coins.astype(complex, copy=False)
+        deviation = np.abs(a @ a.conj().transpose(0, 2, 1) - np.eye(d)).max(axis=(1, 2))
+        if not (deviation <= _COIN_TOL).all():  # NaN fails too
+            raise SpecError(f"vertex {v}: coin is not unitary")
+        S = np.minimum(np.arange(self._S.shape[1]), d)[None].repeat(d, axis=0)
+        W = np.full((len(which), d, S.shape[1]), exact.field(self.mode).zero, dtype=self._dtype)
+        W[:, :, :d] = coins[which]
+        return S, W
+
+    def _weights(self, schedule: dict, steps: int) -> list:
+        """W for each of ``steps`` steps: the base W, or on a scheduled step
+        a copy with its overridden vertices' rows rebuilt."""
+        weights, at, count = [self._W] * steps, [], len(self.graph.vertices)
+        for k, by_vertex in schedule.items():
+            if not (hasattr(k, "__index__") and operator.index(k) >= 1):
+                raise SpecError(f"a schedule step must be an integer >= 1, got {k!r}")
+            at += [
+                (operator.index(k), _vertex_index(v, count, "schedule override"), x)
+                for v, x in by_vertex.items()
+            ]
+        at = sorted((a for a in at if a[0] <= steps), key=lambda a: a[0])
+        for k in {k for k, _v, _x in at}:
+            weights[k - 1] = self._W.copy(order="F")
+        for index, _S, W in self._tabulate([(v, x) for _k, v, x in at], self._override):
+            for i, w in zip(index.tolist(), W):
+                weights[at[i][0] - 1][self._rows[at[i][1]]] = w
+        return weights
 
     # -- the run ---------------------------------------------------------
 
@@ -381,12 +386,7 @@ class WalkEngine:
             injected_prob = math.inf
         if not math.isfinite(injected_prob):
             raise SpecError(f"an injection's summed |a|^2 must be finite, got {injected_prob}")
-        if schedule is not None:
-            for per_vertex in schedule.overrides.values():
-                for v in per_vertex:
-                    _vertex_index(v, len(self.graph.vertices), "schedule override")
-        overrides = map(schedule.for_step, range(1, steps + 1)) if schedule else [{}] * steps
-        weights = [self._weights_with(o) if o else self._W for o in overrides]
+        weights = self._weights(schedule.overrides if schedule else {}, steps)
 
         # Row k of the history is the state before step k + 1: the modes,
         # then (row 0) the injection or (later rows) the exits, then zero.
@@ -401,9 +401,9 @@ class WalkEngine:
         if self.mode == "exact":
             nonzero = hist.astype(bool)
             probs = np.zeros(hist.shape)
-            probs[nonzero] = _abs_sq(hist[nonzero])
+            probs[nonzero] = [a.abs_sq() for a in hist[nonzero]]
         else:
-            # |a|^2 as _abs_sq forms it, with im^2 written over im.
+            # |a|^2 as re^2 + im^2, with im^2 written over im.
             nonzero = probs = hist.real * hist.real
             probs += np.multiply(hist.imag, hist.imag, out=hist.imag)
         del hist

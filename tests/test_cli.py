@@ -1063,3 +1063,31 @@ def test_walk_entries_read_parameters_as_the_device_section_does(capsys, tmp_pat
     assert _walk_code(capsys, tmp_path, scheduled)[0] == 0
     pair = {"n": 3, "r": [0.0, 0.6], "t": [0.8, 0.0]}
     assert _walk_code(capsys, tmp_path, {**walk, "vertices": [{"multiport": pair}]})[0] == 2
+
+
+def test_schedule_steps_must_be_integers_from_one(capsys, tmp_path):
+    """A schedule step below 1 never applies, so it is an invalid spec
+    (exit 2) rather than a walk that ignores it; a step beyond the walk's
+    last is allowed."""
+    triport = {"vertices": [{"multiport": {"n": 3}}], "edges": [], "leads": [0, 0, 0]}
+    for step in ("0", "-2"):
+        walk = {**triport, "schedule": {step: {"0": {"r": 0, "t": 1}}}}
+        code, out, err = _walk_code(capsys, tmp_path, walk)
+        assert (code, out) == (2, "")
+        assert f"a schedule step must be an integer >= 1, got {int(step)}" in err
+    beyond = {**triport, "schedule": {"99": {"0": {"r": 0, "t": 1}}}}
+    assert _walk_code(capsys, tmp_path, beyond)[:2] == _walk_code(capsys, tmp_path, triport)[:2]
+
+
+def test_r_without_t_names_its_section(capsys, tmp_path):
+    """r without t (or t without r) is a config error (exit 1) that names
+    the device section, the multiport entry or the schedule override."""
+    code, out, err = run_cli(capsys, "unitary", "--r", "0.6i")
+    assert (code, out) == (1, "") and "the device section must set r and t together" in err
+    walk = {"vertices": [{"multiport": {"n": 3, "r": "nan"}}], "edges": [], "leads": [0, 0, 0]}
+    code, out, err = _walk_code(capsys, tmp_path, walk)
+    assert (code, out) == (1, "") and "a multiport entry must set r and t together" in err
+    walk = {**walk, "vertices": [{"multiport": {"n": 3}}], "schedule": {"2": {"0": {"t": 1}}}}
+    code, out, err = _walk_code(capsys, tmp_path, walk)
+    assert (code, out) == (1, "")
+    assert "schedule step 2: an override must set r and t together" in err

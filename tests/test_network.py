@@ -9,6 +9,7 @@ engine's sparse stepping.
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import compress
 from pathlib import Path
@@ -34,7 +35,6 @@ from multiport.network import (
     PhysicalVertex,
     Schedule,
     WalkStep,
-    _abs_sq,
     build_network,
     coherence_budget,
     run_walk,
@@ -330,6 +330,18 @@ def test_coherence_budget_values():
 # ---------------------------------------------------------------------------
 
 
+def _channels(g):
+    """channels[v]: vertex v's ('edge', e) and ('lead', l) descriptors, its
+    edges in edge-list order, then its leads in lead-list order."""
+    channels = [[] for _ in g.vertices]
+    for e, (u, v) in enumerate(g.edges):
+        channels[u].append(("edge", e))
+        channels[v].append(("edge", e))
+    for l, v in enumerate(g.leads):
+        channels[v].append(("lead", l))
+    return channels
+
+
 def _reference_run(g, input_lead, steps, schedule=None):
     """The walk stepped one mode at a time over dicts, as the engine did
     before it compiled each walk into a gather table.  Returns, per step,
@@ -337,12 +349,7 @@ def _reference_run(g, input_lead, steps, schedule=None):
     internal probability, conservation deviation)."""
     mode = g.mode
     zero = exact.field(mode).zero
-    channels = [[] for _ in g.vertices]
-    for e, (u, v) in enumerate(g.edges):
-        channels[u].append(("edge", e))
-        channels[v].append(("edge", e))
-    for l, v in enumerate(g.leads):
-        channels[v].append(("lead", l))
+    channels = _channels(g)
     ideal = isinstance(g.vertices[0], IdealVertex)
 
     def peer(e, v):
@@ -418,7 +425,7 @@ def _reference_run(g, input_lead, steps, schedule=None):
     conservation = 0.0
     out = []
     for k in range(1, steps + 1):
-        overrides = schedule.for_step(k) if schedule else {}
+        overrides = schedule.overrides.get(k, {}) if schedule else {}
         step = ideal_step if ideal else physical_step
         state, lead_amps = step(state, injection if k == 1 else {}, overrides)
         for l, amp in enumerate(lead_amps):
@@ -623,6 +630,13 @@ def test_compiled_walk_matches_per_mode_stepping_exact():
 # ---------------------------------------------------------------------------
 
 
+def _abs_sq(amps):
+    """|a|^2 per entry, in the entries' own scalar type."""
+    if amps.dtype == object:
+        return np.array([a.abs_sq() for a in amps], dtype=object)
+    return amps.real * amps.real + amps.imag * amps.imag
+
+
 def _stepwise_run(engine, input_lead, steps, schedule=None):
     """``WalkEngine.run`` as it was before it recorded from per-step
     arrays: running lead, internal and conservation sums, and one
@@ -641,22 +655,23 @@ def _stepwise_run(engine, input_lead, steps, schedule=None):
     # each directed edge mode leaves: edge e = (u, w) is mode 2e toward w
     # and 2e + 1 toward u.
     zero_slot = engine._S.shape[0]
-    width = max(len(chans) for chans in engine.channels)
-    vertex_inputs = np.full((len(engine.channels), width), zero_slot)
-    for v, chans in enumerate(engine.channels):
+    channels, edges = _channels(engine.graph), engine.graph.edges
+    width = max(len(chans) for chans in channels)
+    vertex_inputs = np.full((len(channels), width), zero_slot)
+    for v, chans in enumerate(channels):
         vertex_inputs[v, : len(chans)] = [
-            2 * idx + (v == engine._edges[idx][0]) if kind == "edge" else modes + idx
+            2 * idx + (v == edges[idx][0]) if kind == "edge" else modes + idx
             for kind, idx in chans
         ]
-    edge_source = np.array([w for (u, v) in engine._edges for w in (u, v)], dtype=np.intp)
+    edge_source = np.array([w for (u, v) in edges for w in (u, v)], dtype=np.intp)
     lead_cum = np.zeros(engine.lead_count)
     injected_prob = sum(float(exact.abs_sq(a)) for a in injection.values())
     conservation = 0.0
     records = []
 
     for k in range(1, steps + 1):
-        overrides = schedule.for_step(k) if schedule else {}
-        W = engine._weights_with(overrides) if overrides else engine._W
+        overrides = schedule.overrides.get(k, {}) if schedule else {}
+        W = engine._weights({1: overrides}, 1)[0]
         if engine.mode == "exact":
             out = np.array(device._gather_exact(W, x, engine._S), dtype=object)
         else:
@@ -742,6 +757,171 @@ def test_run_refuses_a_record_above_the_bound_before_allocating():
     with pytest.raises(SpecError, match="amplitudes"):
         engine.run(0, steps)
     assert len(engine.run(0, 2).steps) == 2
+
+
+# ---------------------------------------------------------------------------
+# parity with per-vertex tabulation
+# ---------------------------------------------------------------------------
+
+
+def _reference_tables(engine, schedule=None, steps=0):
+    """(S, W, each step's W) as the engine built them before it tabulated
+    whole degree classes: every vertex's own
+    ``device.gather_table(compile_spec(spec))`` or coin rows, placed into S
+    and W through per-vertex source and output maps; an override rebuilds
+    its vertex's rows in a copy of W."""
+    g = engine.graph
+    ideal = isinstance(g.vertices[0], IdealVertex)
+    zero = exact.field(g.mode).zero
+    dtype = object if g.mode == "exact" else complex
+    channels = _channels(g)
+    slots, modes = engine._S.shape[0], engine._modes
+    fan_in = max(map(len, channels)) if ideal else 2
+
+    def local(v, override=None):
+        vert = g.vertices[v]
+        if not ideal:
+            spec = vert.spec if override is None else replace(vert.spec, **override)
+            return device.gather_table(compile_spec(spec))
+        coin = vert.coin if override is None else override
+        d, pad = coin.dim, fan_in - coin.dim
+        srcs = [*range(d), *[d] * pad] * d
+        weights = [w for row in coin.rows for w in (*row, *[zero] * pad)]
+        return (
+            np.array(srcs, dtype=np.intp).reshape(-1, fan_in),
+            np.array(weights, dtype=dtype).reshape(-1, fan_in),
+        )
+
+    src_maps, out_maps = [], []
+    own = range(2 * len(g.edges))
+    for v, chans in enumerate(channels):
+        own = range(own.stop, own.stop if ideal else own.stop + 3 * len(chans))
+        sources = [
+            2 * idx + (v == g.edges[idx][0]) if kind == "edge" else modes + idx
+            for kind, idx in chans
+        ]
+        src_maps.append(np.array([*own, *sources, slots]))
+        out_maps.append([*own, *(src ^ 1 if src < modes else src for src in sources)])
+    S = np.full((slots, fan_in), slots, dtype=np.intp)
+    W = np.full((slots, fan_in), zero, dtype=dtype)
+    for v in range(len(g.vertices)):
+        srcs, weights = local(v)
+        S[out_maps[v]] = src_maps[v][srcs]
+        W[out_maps[v]] = weights
+    per_step = []
+    for k in range(1, steps + 1):
+        step_W = W.copy()
+        for v, override in (schedule.overrides.get(k, {}) if schedule else {}).items():
+            step_W[out_maps[v]] = local(v, override)[1]
+        per_step.append(step_W)
+    return S, W, per_step
+
+
+def _assert_same_weights(got, want):
+    """Every entry equal: by repr in float mode, signed zeros included; by
+    == and type in exact mode."""
+    assert got.shape == want.shape
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+        assert list(map(type, got.ravel())) == list(map(type, want.ravel()))
+    else:
+        assert list(map(repr, got.ravel().tolist())) == list(map(repr, want.ravel().tolist()))
+
+
+def _oracle_cases(mode):
+    """The parity cases, then a 36-vertex heterogeneous ring and 6x6 grid of
+    each vertex model, with schedules."""
+    rng = random.Random(36)
+    cases = [(g, schedule, steps) for g, _lead, steps, schedule in _parity_cases(mode)]
+    for vertex in (
+        lambda d: PhysicalVertex(_random_device(rng, d, mode)),
+        lambda d: IdealVertex(_random_coin(rng, d, mode)),
+    ):
+        for vertices, edges, leads in (_ring_graph(36, vertex), _grid_graph(6, vertex)):
+            g = GraphSpec(vertices=vertices, edges=edges, leads=leads, mode=mode)
+            cases.append((g, _random_schedule(rng, vertices, 12, mode), 12))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_batched_tables_match_per_vertex_tabulation(mode):
+    """S equals, and every W entry (override weights too) is the one that
+    the per-vertex compile, tabulation and placement gives."""
+    for g, schedule, steps in _oracle_cases(mode):
+        engine = build_network(g)
+        S, W, per_step = _reference_tables(engine, schedule, steps)
+        assert np.array_equal(engine._S, S)
+        _assert_same_weights(engine._W, W)
+        overrides = schedule.overrides if schedule else {}
+        for got, want in zip(engine._weights(overrides, steps), per_step, strict=True):
+            _assert_same_weights(got, want)
+
+
+def _named_error(g, schedule=None, steps=3):
+    with pytest.raises(SpecError) as err:
+        build_network(g).run(0, steps, schedule)
+    return str(err.value)
+
+
+def test_errors_name_the_first_bad_vertex():
+    """A bad vertex after vertex 0 is named, with the same text whichever
+    of a degree class it is in; the first bad vertex in vertex order wins."""
+    coins = [grover_coin(3) for _ in range(8)]
+    coins[5] = grover_coin(3).scaled(2)
+    ring = _ring_graph(8, lambda d: None)[1:]
+    g = GraphSpec(vertices=[IdealVertex(c) for c in coins], edges=ring[0], leads=ring[1])
+    assert _named_error(g) == "vertex 5: coin is not unitary"
+    coins[2] = grover_coin(4)
+    g = GraphSpec(vertices=[IdealVertex(c) for c in coins], edges=ring[0], leads=ring[1])
+    assert _named_error(g) == "vertex 2: coin dimension 4 != degree 3"
+    coins[2] = grover_coin(3, "exact")
+    g = GraphSpec(vertices=[IdealVertex(c) for c in coins], edges=ring[0], leads=ring[1])
+    assert _named_error(g) == "vertex 2: coin numeric mode differs from graph"
+
+    specs = [MultiportSpec(n=3) for _ in range(9)]
+    specs[7] = MultiportSpec(n=4)
+    vertices, edges, leads = _ring_graph(9, lambda d: None)
+    g = GraphSpec(vertices=[PhysicalVertex(s) for s in specs], edges=edges, leads=leads)
+    assert _named_error(g) == "vertex 7: multiport has 4 ports, degree is 3"
+    specs[4] = MultiportSpec(n=3, mode="exact")
+    g = GraphSpec(vertices=[PhysicalVertex(s) for s in specs], edges=edges, leads=leads)
+    assert _named_error(g) == "vertex 4: multiport numeric mode differs from graph"
+    # A device that compile_spec refuses, at vertex 3 of a heterogeneous
+    # ring, raises compile_spec's own error before vertex 4's.
+    rng = random.Random(5)
+    specs = [_random_device(rng, 3, "float") for _ in range(9)]
+    specs[3] = replace(specs[3], r=[0.5, 0.5, 0.5])
+    specs[6] = MultiportSpec(n=4)
+    g = GraphSpec(vertices=[PhysicalVertex(s) for s in specs], edges=edges, leads=leads)
+    assert _named_error(g) == "beam-splitter block at vertex A is not unitary"
+
+
+def test_override_errors_name_the_first_bad_override():
+    """Overrides are checked in step order, then vertex order within a
+    step, whichever degree class they fall in."""
+    vertices, edges, leads = _ring_graph(9, lambda d: PhysicalVertex(MultiportSpec(n=d)))
+    g = GraphSpec(vertices=vertices, edges=edges, leads=leads)
+    schedule = Schedule({5: {6: {"bogus": 1}}, 2: {3: {"r": 0.5, "t": 0.5}}})
+    assert _named_error(g, schedule, 6) == "beam-splitter block at vertex A is not unitary"
+    schedule = Schedule({5: {6: {"bogus": 1}}, 2: {3: {"mirror_factor": 1j}}})
+    assert _named_error(g, schedule, 6).startswith("vertex 6: an override may set only")
+    g = _grover_ring(7)
+    schedule = Schedule({4: {5: grover_coin(3).scaled(0.5), 1: grover_coin(3)}})
+    assert _named_error(g, schedule, 6) == "vertex 5: coin is not unitary"
+
+
+@pytest.mark.parametrize("step", [0, -2, "2", 2.0, None])
+def test_schedule_step_keys_are_integers_from_one(step):
+    """A step key that is not an integer >= 1 is refused, not silently
+    never applied; a step beyond the run is allowed and never applies."""
+    engine = build_network(_grover_ring(5))
+    identity = Matrix.identity(3)
+    with pytest.raises(SpecError, match="a schedule step must be an integer >= 1"):
+        engine.run(0, 4, Schedule({step: {0: identity}}))
+    plain = engine.run(0, 4).steps
+    _assert_same_records(engine.run(0, 4, Schedule({9: {0: identity}})).steps, plain)
+    scheduled = engine.run(0, 4, Schedule({np.int64(2): {1: identity}})).steps
+    _assert_same_records(scheduled, engine.run(0, 4, Schedule({2: {1: identity}})).steps)
 
 
 # ---------------------------------------------------------------------------
@@ -910,31 +1090,26 @@ def test_graph_above_the_amplitude_bound_is_refused(monkeypatch, ideal):
 
 
 def test_equal_vertices_compile_once_and_unhashable_ones_apart(monkeypatch):
-    """Equal multiport specs and equal coins compile and check once per
-    build; a parameter that cannot be hashed (a 0-d array) compiles on its
-    own and walks like the plain value."""
-    calls = {"compile": 0, "unitarity": 0}
-    compile_spec_, unitarity_dev = network.compile_spec, Matrix.unitarity_dev
+    """Equal multiport specs and equal coins are compiled, checked and
+    tabulated once per build; a parameter that cannot be hashed (a 0-d
+    array) tabulates on its own and walks like the plain value."""
+    tabulated = []
+    class_table = network.WalkEngine._class_table
 
-    def counted_compile(spec):
-        calls["compile"] += 1
-        return compile_spec_(spec)
+    def counted(engine, degree, params, which):
+        tabulated.append(len(params))
+        return class_table(engine, degree, params, which)
 
-    def counted_unitarity(coin):
-        calls["unitarity"] += 1
-        return unitarity_dev(coin)
-
-    monkeypatch.setattr(network, "compile_spec", counted_compile)
-    monkeypatch.setattr(Matrix, "unitarity_dev", counted_unitarity)
+    monkeypatch.setattr(network.WalkEngine, "_class_table", counted)
     vertices, edges, leads = _ring_graph(6, lambda d: PhysicalVertex(MultiportSpec(n=d)))
     plain = build_network(GraphSpec(vertices=vertices, edges=edges, leads=leads))
     build_network(_grover_ring(6))
-    assert calls == {"compile": 1, "unitarity": 1}
+    assert tabulated == [1, 1]
     r = np.array(1j / math.sqrt(2))
     vertices[2] = PhysicalVertex(MultiportSpec(n=3, r=r))
     vertices[4] = PhysicalVertex(MultiportSpec(n=3, r=r))
     odd = build_network(GraphSpec(vertices=vertices, edges=edges, leads=leads))
-    assert calls["compile"] == 4
+    assert tabulated == [1, 1, 3]
     _assert_same_records(odd.run(2, 20).steps, plain.run(2, 20).steps)
 
 
