@@ -15,6 +15,7 @@ import cmath
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -38,6 +39,10 @@ MODE_ENV = "MULTIPORT_NUMERIC_MODE"
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parse error is a config error."""
+
+    commands: dict  # on the full parser: each command's name and its own parser
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -111,15 +116,54 @@ _SCALARS = {str: _json_str, int: int.__repr__, float: _json_float,
 
 
 @functools.lru_cache(maxsize=64)
-def _array_layout(shape: tuple, level: int) -> str:
-    """The indented JSON text of nested lists of ``shape``, '%r' per number."""
+def _array_layout(shape: tuple, level: int, hole: str = "%r") -> str:
+    """The indented JSON text of nested lists of ``shape``, ``hole`` per number."""
     if not shape:
-        return "%r"
+        return hole
     if not shape[0]:
         return "[]"
     pad = "\n" + "  " * (level + 1)
-    items = ("," + pad).join([_array_layout(shape[1:], level + 1)] * shape[0])
+    items = ("," + pad).join([_array_layout(shape[1:], level + 1, hole)] * shape[0])
     return "[" + pad + items + "\n" + "  " * level + "]"
+
+
+@functools.lru_cache(maxsize=64)
+def _exit_row_layout(ports: int, mode: str, level: int) -> str:
+    """% format of one ``exits`` row, a dict at indent ``level``.  Holes:
+    the amplitudes (float: re and im of each, '%r'; exact: each scalar's
+    text), the cumulative probability, n ('%d'), the step probability."""
+    pad = "\n" + "  " * (level + 1)
+    if mode == "float":
+        amplitudes, real = _array_layout((ports, 2), level + 1), "%r"
+    else:
+        amplitudes, real = _array_layout((ports,), level + 1, "%s"), "%s"
+    return ("{" + pad + '"amplitudes": ' + amplitudes + "," + pad + '"cumulative_probability": '
+            + real + "," + pad + '"n": %d,' + pad + '"step_probability": ' + real + pad[:-2] + "}")
+
+
+def _exit_rows_json(record: device.ExitRecord, level: int) -> str:
+    """An exit record's rows as the list of {"amplitudes", "cumulative_probability",
+    "n", "step_probability"} dicts ``cmd_exits`` writes, at indent ``level``:
+    one row format per step, filled from the record's arrays."""
+    row = _exit_row_layout(record.n_ports, record.mode, level + 1)
+    counts, amplitudes = itertools.count(1), record.amplitudes
+    steps, cumulative = record.step_probabilities, record.cumulative_probabilities
+    if record.mode == "float":
+        cells = np.ascontiguousarray(amplitudes).view(float)
+        if not (np.isfinite(cells).all() and np.isfinite(steps + cumulative).all()):  # nan, inf
+            keys = ("amplitudes", "step_probability", "cumulative_probability", "n")
+            return to_json([dict(zip(keys, r)) for r in zip(amplitudes, steps, cumulative, counts)],
+                           level)
+        texts = [row % (*a, c, k, p)
+                 for a, c, k, p in zip(cells.tolist(), cumulative, counts, steps)]
+    else:
+        def real(x):
+            return _exact_json(_ExactReal((x,)), level + 2)
+
+        texts = [row % (*[_exact_json(x, level + 3) for x in a], real(c), k, real(p))
+                 for a, c, k, p in zip(amplitudes.tolist(), cumulative, counts, steps)]
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(texts) + pad[:-2] + "]" if texts else "[]"
 
 
 # JSON names of an exact scalar part's (rational, sqrt2, sqrt3, sqrt6) coefficients.
@@ -164,12 +208,14 @@ def to_json(obj, level: int = 0) -> str:
     dicts with str keys.  A float or complex ndarray is written as
     ``json.dumps`` writes its ``tolist()``, each complex entry as [re, im],
     one float repr at a time; an exact scalar as the dict of ``encode_scalar``
-    or ``encode_real``."""
+    or ``encode_real``; an ExitRecord as the list of its rows."""
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)
     if type(obj) in (exact.ExactComplex, _ExactReal):
         return _exact_json(obj, level)
+    if type(obj) is device.ExitRecord:
+        return _exit_rows_json(obj, level)
     if isinstance(obj, str):
         return _json_str(obj)
     if isinstance(obj, int):
@@ -211,15 +257,23 @@ def _re_im(value) -> list:
 
 
 def load_config(path):
+    """The config file's JSON object, {} without a file.  Its bytes are
+    decoded once, with the newline translation of a text-mode read; a file
+    that cannot be read, decoded or parsed is a config error."""
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        cfg = json.loads(text)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} line {err.lineno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ConfigError(f"config file {path} is nested too deeply to read") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg
@@ -320,38 +374,18 @@ def device_spec(args, cfg) -> device.MultiportSpec:
 def cmd_exits(args, cfg):
     spec = device_spec(args, cfg)
     record = device.exit_record(spec, port_index(args.input), args.steps)
-    amplitudes = [step.amplitudes for step in record.steps]  # exact scalars as they are
-    if record.mode == "float":
-        amplitudes = np.array(amplitudes, dtype=complex)
-    rows = []
-    for step, amps in zip(record.steps, amplitudes):
-        rows.append(
-            {
-                "n": step.n,
-                "amplitudes": amps,
-                "step_probability": encode_real(step.step_probability, record.mode),
-                "cumulative_probability": encode_real(
-                    step.cumulative_probability, record.mode
-                ),
-            }
-        )
     data = {
         "ports": [port_label(i) for i in range(record.n_ports)],
         "input": port_label(record.input_port),
-        "rows": rows,
+        "rows": record,  # written by ``to_json`` from the record's arrays
         "conservation_dev": record.conservation_dev,
     }
     header = ("n", "port", "re", "im", "step_probability", "cumulative_probability")
     table = (
-        [
-            step.n,
-            port_label(i),
-            *_re_im(a),
-            repr(float(step.step_probability)),
-            repr(float(step.cumulative_probability)),
-        ]
-        for step in record.steps
-        for i, a in enumerate(step.amplitudes)
+        [k, port_label(i), *_re_im(a), repr(float(p)), repr(float(c))]
+        for k, row, p, c in zip(itertools.count(1), record.amplitudes.tolist(),
+                                record.step_probabilities, record.cumulative_probabilities)
+        for i, a in enumerate(row)
     )
     return data, header, table
 
@@ -704,13 +738,26 @@ def build_parser() -> _Parser:
     p.add_argument("--td", type=float, help="detector response time in seconds")
     p.set_defaults(fn=cmd_feasibility)
 
+    parser.commands = sub.choices
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``.  A command's arguments are read
+    by that command's own parser alone; anything else (no command,
+    ``--help``, an unknown word) goes through the full parser, which gives
+    the usage text, errors and exit codes."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         cfg = load_config(args.config)
         mode = resolve_mode(args, cfg)
         data, header, table = args.fn(args, cfg)

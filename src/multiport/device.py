@@ -29,6 +29,7 @@ amplitudes vanish at every odd N.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 
@@ -184,13 +185,27 @@ class ExitStep:
     cumulative_probability: object
 
 
-@dataclass
+@dataclass(eq=False)
 class ExitRecord:
+    """Exit amplitudes at encounters N = 1..len(amplitudes): row N - 1 of
+    ``amplitudes`` holds each port's (complex in float mode, ExactComplex
+    objects in exact mode), with that encounter's entry of
+    ``step_probabilities`` and ``cumulative_probabilities``.  ``steps``
+    reads them as ExitSteps, built on first access."""
+
     input_port: int
     n_ports: int
     mode: str
-    steps: List[ExitStep]
+    amplitudes: np.ndarray
+    step_probabilities: list
+    cumulative_probabilities: list
     conservation_dev: float
+
+    @functools.cached_property
+    def steps(self) -> List[ExitStep]:
+        rows = map(tuple, self.amplitudes.tolist())
+        return list(map(ExitStep, itertools.count(1), rows, self.step_probabilities,
+                        self.cumulative_probabilities))
 
     def amplitude(self, n: int, port: int):
         return step_record(self.steps, n).amplitudes[port]
@@ -316,12 +331,11 @@ def exit_record(spec: MultiportSpec, input_port: int, n_max: int) -> ExitRecord:
     hist = np.full((n_max + 1, k + dev.n + 1), F.zero, dtype=W.dtype)
     hist[0, k + input_port] = F.one
     gather_steps(S, [W] * n_max, hist, k)
-    exits = hist[1:, k:-1]
+    exits = hist[1:, k:-1].copy()
     step_prob, internal = _probabilities(exits), _probabilities(hist[1:, :k])
     cumulative = list(itertools.accumulate(step_prob))
     conservation = max(abs(float(a + c) - 1.0) for a, c in zip(internal, cumulative))
-    steps = map(ExitStep, range(1, n_max + 1), map(tuple, exits.tolist()), step_prob, cumulative)
-    return ExitRecord(input_port, dev.n, dev.mode, list(steps), conservation)
+    return ExitRecord(input_port, dev.n, dev.mode, exits, step_prob, cumulative, conservation)
 
 
 @dataclass

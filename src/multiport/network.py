@@ -170,14 +170,16 @@ def _connected(count: int, edges) -> bool:
 def _share_key(params):
     """Equal keys tabulate once: a coin's mode and rows, or a spec's values
     with their types (exact mode takes r = 1, not 1.0).  A float spec that
-    holds a list is unhashable, so it tabulates on its own: its key would
-    cost about as much as its table.  0.0 and -0.0 may share: a gather's
-    sums start from +0, losing the sign."""
+    holds a list has no key (None), so it tabulates on its own: its key
+    would cost about as much as its table.  0.0 and -0.0 may share: a
+    gather's sums start from +0, losing the sign."""
     if isinstance(params, Matrix):
         return params.mode, params.rows
     values = tuple(vars(params).values())
     if params.mode == "exact":  # a sequence by its values and their types
         values = tuple((*x, *map(type, x)) if type(x) in (list, tuple) else x for x in values)
+    elif list in map(type, values):
+        return None
     return values, tuple(map(type, values))
 
 
@@ -287,9 +289,10 @@ class WalkEngine:
             for i, ((v, x), d) in enumerate(zip(items, degrees)):
                 p = param(v, x)
                 members, which, distinct = groups.setdefault(d, ([], [], []))
+                key = _share_key(p)
                 try:
-                    j = seen.setdefault((d, _share_key(p)), len(distinct))
-                except TypeError:  # an unhashable parameter tabulates on its own
+                    j = len(distinct) if key is None else seen.setdefault((d, key), len(distinct))
+                except TypeError:  # any other unhashable parameter tabulates on its own
                     j = len(distinct)
                 if j == len(distinct):
                     distinct.append(p)

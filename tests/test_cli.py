@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -391,6 +392,61 @@ def test_writer_refuses_what_json_dumps_refuses():
             to_json(keyed)
 
 
+def _exit_rows_as_dicts(record):
+    """An exit record's rows as the dicts ``cmd_exits`` used to build, with
+    exact scalars in their reference encodings."""
+    if record.mode == "float":
+        def scalar(a):
+            return [a.real, a.imag]
+        real = float
+    else:
+        scalar, real = _reference_encode_scalar, _reference_encode_real
+    return [
+        {"n": k, "amplitudes": [scalar(a) for a in row], "step_probability": real(p),
+         "cumulative_probability": real(c)}
+        for k, row, p, c in zip(range(1, len(record.amplitudes) + 1), record.amplitudes.tolist(),
+                                record.step_probabilities, record.cumulative_probabilities)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_exit_rows_are_written_as_json_dumps_writes_their_dicts(mode):
+    """``to_json`` writes an ``exits`` payload's rows from the record's
+    arrays, one row format per port count, mode and indent: the bytes
+    ``json.dumps(indent=2, sort_keys=True)`` writes for the rows' dicts,
+    for n = 3..8 ports and seeded step counts, and one level deeper."""
+    rng = random.Random(27)
+    for n in range(3, 9):
+        steps, port = rng.randint(2, 100), rng.randrange(n)
+        argv = ["exits", "--n", str(n), "--steps", str(steps), "--input", "ABCDEFGH"[port],
+                "--mode", mode]
+        data = cli.cmd_exits(cli._parse(argv), {})[0]
+        record = data["rows"]
+        assert (record.n_ports, len(record.amplitudes)) == (n, steps)
+        payload = {"schema": cli.SCHEMA, "data": data}
+        want = {"schema": cli.SCHEMA, "data": dict(data, rows=_exit_rows_as_dicts(record))}
+        assert to_json(payload) == json.dumps(want, indent=2, sort_keys=True), (n, steps)
+        assert to_json([payload]) == json.dumps([want], indent=2, sort_keys=True), (n, steps)
+
+
+def test_exit_rows_with_non_finite_and_negative_zero_floats():
+    """A float record holding NaN, +-inf or -0.0 is written as ``json.dumps``
+    writes its dicts: NaN, Infinity, -Infinity and -0.0."""
+    nan, inf = math.nan, math.inf
+    finite = device.ExitRecord(
+        0, 3, "float", np.array([[-0.0, complex(0.5, -0.0), 1e-300j], [0j, -1e300, 2.5]]),
+        [-0.0, 0.25], [0.0, 0.25], 0.0,
+    )
+    odd = device.ExitRecord(
+        1, 3, "float", np.array([[complex(nan, -0.0), complex(inf, 1), -inf], [0j, -0.0, 1j]]),
+        [nan, -0.0], [inf, -inf], nan,
+    )
+    for record in (finite, odd):
+        payload = {"data": {"rows": record}}
+        want = {"data": {"rows": _exit_rows_as_dicts(record)}}
+        assert to_json(payload) == json.dumps(want, indent=2, sort_keys=True)
+
+
 def test_float_stdout_is_json_dumps_of_itself(capsys):
     """Float stdout reads back into the bytes ``json.dumps(indent=2,
     sort_keys=True)`` would write for it."""
@@ -555,6 +611,11 @@ def test_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(capsys, "exits", "--config", str(bad))[0] == 1
+    # 1: a config that is not UTF-8, or nested deeper than json decodes
+    bad.write_bytes(b'{"device": {"n": 3}}\xff')
+    assert run_cli(capsys, "unitary", "--config", str(bad))[:2] == (1, "")
+    bad.write_text("[" * 100000)
+    assert run_cli(capsys, "unitary", "--config", str(bad))[:2] == (1, "")
     assert run_cli(capsys, "bogus-command")[0] == 1
     assert run_cli(capsys, "family", "--phi-sweep", "0:1:0")[0] == 1
     # 2: invalid spec
@@ -684,6 +745,53 @@ def test_repeated_calls_share_no_state(capsys):
             fresh.append(run_cli(capsys, *argv))
         assert [run_cli(capsys, *argv) for argv in sequence] == fresh
     assert build_parser() is build_parser()
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; an argparse exit
+    (help, usage) gives its SystemExit code."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = ("SystemExit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_PARSE_CASES = [
+    [], ["--help"], ["bogus"], ["Exits"], ["exits", "--help"], ["unitary", "-h"],
+    ["unitary", "--bogus"], ["paths"], ["paths", "--length", "x"], ["exits", "--st", "3"],
+    ["exits", "--steps", "4", "extra"], ["exits", "--", "--steps", "4"], ["--mode", "exact", "exits"],
+    ["family", "--phi-sweep", "0:1:2"], ["cnot", "--format", "xml"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parse_path_gives_what_the_full_parser_gives(capsys, monkeypatch, argv):
+    """A command's own parser reads its arguments, and the full parser
+    anything else; stdout, stderr and the exit code are those of a parse
+    by the full parser: usage text, help, errors and their exit codes."""
+    fast = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
+    assert fast == _outcome(capsys, argv)
+
+
+def test_parse_reads_sys_argv_and_skips_the_full_parser_for_a_command(capsys, monkeypatch):
+    """``main()`` reads ``sys.argv``; a known command is parsed without the
+    top-level parse, which no longer runs."""
+    want = _outcome(capsys, ["unitary", "--n", "4", "--format", "csv"])
+    monkeypatch.setattr(sys, "argv", ["multiport", "unitary", "--n", "4", "--format", "csv"])
+    assert _outcome(capsys, None) == want
+    full = build_parser()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(full, "parse_known_args", refused)
+    assert _outcome(capsys, None) == want
+    assert _outcome(capsys, ["exits", "--steps", "4"])[0] == 0
+    with pytest.raises(AssertionError, match="full parser"):
+        main(["bogus"])
 
 
 _JUNK = st.sampled_from([None, 3, -1, 1.5, True, "x", "0", [], {}, [0, 1, 2], [[0]]])

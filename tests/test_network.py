@@ -1113,6 +1113,36 @@ def test_equal_vertices_compile_once_and_unhashable_ones_apart(monkeypatch):
     _assert_same_records(odd.run(2, 20).steps, plain.run(2, 20).steps)
 
 
+def test_float_specs_holding_lists_tabulate_apart_without_a_key(monkeypatch):
+    """A float spec that holds a list has no share key: ``_share_key`` tells
+    it by type and returns None, so each such vertex or physical override
+    tabulates on its own, and walks exactly as the same values in tuples,
+    which share one table."""
+    tabulated = []
+    class_table = network.WalkEngine._class_table
+
+    def counted(engine, degree, params, which):
+        tabulated.append(len(params))
+        return class_table(engine, degree, params, which)
+
+    monkeypatch.setattr(network.WalkEngine, "_class_table", counted)
+    rng = random.Random(3)
+    r, t = zip(*(_random_splitter(rng) for _ in range(3)))
+    phases = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
+    as_lists = MultiportSpec(n=3, r=list(r), t=list(t), edge_phases=phases)
+    as_tuples = MultiportSpec(n=3, r=r, t=t, edge_phases=tuple(phases))
+    assert network._share_key(as_lists) is None
+    assert network._share_key(as_tuples) is not None
+    walks = []
+    for spec, sequence in ((as_lists, list), (as_tuples, tuple)):
+        vertices, edges, leads = _ring_graph(4, lambda d: PhysicalVertex(spec))
+        override = {"r": sequence(r), "t": sequence(t), "mirror_factor": sequence([1j] * 3)}
+        schedule = Schedule({2: {0: override, 3: override}})
+        walks.append(build_network(GraphSpec(vertices, edges, leads)).run(1, 8, schedule).steps)
+    assert tabulated == [4, 2, 1, 1]
+    _assert_same_records(*walks)
+
+
 @pytest.mark.parametrize("mode", ["float", "exact"])
 def test_injection_with_no_finite_probability_is_refused(mode):
     """An injection whose summed |a|^2 is NaN, infinite or beyond the float
